@@ -209,27 +209,13 @@ pub fn write_response(
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write_response_with(writer, status, "application/json", body, keep_alive)
+    write_response_headers(writer, status, "application/json", &[], body.as_bytes(), keep_alive)
 }
 
-/// Writes one response with an explicit `Content-Type` (the Prometheus
-/// text exposition endpoint serves `text/plain; version=0.0.4`).
-///
-/// # Errors
-/// Socket-level failures.
-pub fn write_response_with(
-    writer: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_headers(writer, status, content_type, &[], body.as_bytes(), keep_alive)
-}
-
-/// Writes one response with extra headers and a binary body — the general
-/// form behind the string writers. `extra` entries land verbatim between
-/// the fixed headers and the blank line (e.g. `("Retry-After", "1")`).
+/// Writes one response with an explicit `Content-Type`, extra headers and
+/// a binary body — the general form behind [`write_response`]. `extra`
+/// entries land verbatim between the fixed headers and the blank line
+/// (e.g. `("Retry-After", "1")`).
 ///
 /// # Errors
 /// Socket-level failures.
@@ -490,18 +476,6 @@ mod tests {
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
         assert_eq!(percent_decode("plus+stays"), "plus+stays");
-    }
-
-    #[test]
-    fn response_writer_with_content_type_emits_valid_http() {
-        let mut buf = Vec::new();
-        write_response_with(&mut buf, 200, "text/plain; version=0.0.4", "# HELP x\n", false)
-            .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("# HELP x\n"));
     }
 
     #[test]

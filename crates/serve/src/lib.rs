@@ -8,7 +8,9 @@
 //! - [`wal`] — group-commit, segmented write-ahead log: one framed,
 //!   CRC'd record and one (pipelined) fsync per linger batch, bounded
 //!   `wal.NNNNNN.seg` segments with a CRC'd manifest, parallel replay
-//!   with deterministic merge, and background snapshot compaction.
+//!   with deterministic merge, and background snapshot compaction. A
+//!   snapshot is one frame of the same codec, so recovery, shipping, and
+//!   replica resync share one decoder and one CRC.
 //! - [`walfs`] — the pluggable [`WalFs`]/[`WalFile`] I/O layer: real
 //!   `std::fs` ([`StdFs`]) plus the deterministic fault-injecting
 //!   [`FaultFs`] that the crash-recovery matrix drives.
@@ -18,9 +20,14 @@
 //!   configurable invalidated-fraction threshold, and atomically publishes
 //!   immutable [`VerdictView`]s.
 //! - [`queue`] — the bounded ingest queue backing HTTP 429 backpressure.
-//! - [`http`] / [`server`] — a zero-dependency HTTP/1.1 server over
-//!   `std::net` with a fixed worker pool, `/v1` API routes, `/healthz`,
-//!   `/metrics`, and graceful drain shutdown.
+//! - [`http`] — the zero-dependency HTTP/1.1 subset (request/response
+//!   parsing and writing) over `std::io` streams.
+//! - `shell` (private) — the one HTTP shell over `std::net` that both
+//!   roles run: a blocking acceptor woken by a self-connect at shutdown,
+//!   a fixed worker pool, keep-alive, request telemetry, and the shared
+//!   `/v1` read routes.
+//! - [`server`] — the primary role: ingest, `/healthz`, `/metrics`,
+//!   WAL shipping, `/cluster`, and graceful drain shutdown.
 //! - [`metrics`] — serve-layer counters/spans/gauges in the shared
 //!   `corroborate-obs` registry.
 //! - [`ship`] — the primary-side replication feed: a [`ShipLog`] of
@@ -53,6 +60,7 @@ pub mod metrics;
 pub mod queue;
 pub mod replica;
 pub mod server;
+mod shell;
 pub mod ship;
 pub mod wal;
 pub mod walfs;

@@ -19,27 +19,27 @@
 //!   compaction floor (or finds itself on a different history). After
 //!   every applied batch — and periodically while idle — it reports
 //!   progress via `POST /cluster/heartbeat`.
-//! - the serve shell — the same zero-dependency HTTP/1.1 worker pool the
-//!   primary uses, restricted to read-only routes (`/v1/facts/*`,
-//!   `/v1/sources/*/trust`, `/healthz`, `/replica`, `/metrics`); writes
-//!   are answered `405` and pointed at the primary.
+//! - the serve shell — the HTTP/1.1 shell (`shell.rs`) the primary runs
+//!   too, here with a read-only route table (`/v1/facts/*`, `/v1/sources/*/trust`,
+//!   `/healthz`, `/replica`, `/metrics`, `/metrics.json`); writes are
+//!   answered `405` and pointed at the primary.
 //!
 //! Torn shipped data is handled by the same scanner recovery uses
 //! ([`crate::wal::scan_frames`]): a truncated or corrupted stream decodes
 //! to its valid prefix and the replica simply stops there — it can refuse
 //! and refetch, but it can never journal (and therefore never serve) a
-//! torn batch.
+//! torn batch. A fetched snapshot must decode as one whole CRC-valid frame
+//! before the replica replaces its local history with it.
 //!
 //! This module sits inside the determinism and checked-arithmetic audit
 //! scopes: no hash-ordered containers, no direct wall-clock reads (time
 //! comes from [`ServeMetrics::now_nanos`], the observer layer's clock),
 //! and all sequence/byte arithmetic spells out its overflow policy.
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -48,15 +48,11 @@ use corroborate_obs::{Counter, Json, Observer, Span};
 use crate::cluster::ReplicaStatus;
 use crate::epoch::{EpochConfig, EpochEngine, EpochMode, Published, VerdictView};
 use crate::error::ServeError;
-use crate::http::{read_request, read_response, write_request, write_response, HttpError, Request};
+use crate::http::{read_response, write_request, HttpError, Request};
 use crate::metrics::ServeMetrics;
-use crate::server::{error_body, fact_reply, source_trust_reply};
-use crate::wal::{scan_frames, Wal, WalConfig};
+use crate::shell::{read_routes, Reply, Routes, Shell, ShellConfig, Shutdown};
+use crate::wal::{replace_with_snapshot, scan_frames, Wal, WalConfig};
 use crate::walfs::{FaultFs, StdFs, WalFs};
-
-/// Snapshot file name inside the replica's WAL directory (matches the
-/// primary's, so an installed snapshot is picked up by normal recovery).
-const SNAPSHOT_FILE: &str = "snapshot.json";
 
 /// Idle poll cycles between keep-alive heartbeats to the primary.
 const IDLE_HEARTBEAT_TICKS: u32 = 25;
@@ -64,6 +60,10 @@ const IDLE_HEARTBEAT_TICKS: u32 = 25;
 /// Read timeout on accepted serve-shell connections; bounds how long a
 /// worker can be parked on an idle keep-alive socket during drain.
 const SHELL_READ_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Request body cap of the serve shell. No replica route reads a body;
+/// the cap only bounds what a misdirected write may send before its `405`.
+const SHELL_MAX_BODY_BYTES: usize = 1 << 20;
 
 /// Configuration for [`start`].
 #[derive(Debug, Clone)]
@@ -84,8 +84,6 @@ pub struct ReplicaConfig {
     pub poll_interval: Duration,
     /// Socket read/write timeout for requests to the primary.
     pub request_timeout: Duration,
-    /// Request body cap for the serve shell.
-    pub max_body_bytes: usize,
     /// Response body cap for fetches from the primary (must comfortably
     /// exceed the primary's segment size).
     pub max_fetch_bytes: usize,
@@ -108,7 +106,6 @@ impl Default for ReplicaConfig {
             workers: 2,
             poll_interval: Duration::from_millis(5),
             request_timeout: Duration::from_secs(5),
-            max_body_bytes: 1 << 20,
             max_fetch_bytes: 64 << 20,
             wal: WalConfig::default(),
             epoch: EpochConfig::default(),
@@ -272,37 +269,6 @@ impl ReplicaCore {
     }
 }
 
-/// Wipes every file out of a replica WAL directory ahead of a snapshot
-/// resync (the local history is abandoned, not merged).
-///
-/// # Errors
-/// Propagated filesystem failures.
-pub fn wipe_dir(fs: &dyn WalFs, dir: &Path) -> Result<(), ServeError> {
-    fs.create_dir_all(dir)?;
-    for name in fs.list(dir)? {
-        fs.remove_file(&dir.join(&name))?;
-    }
-    Ok(())
-}
-
-/// Atomically installs fetched snapshot bytes as `snapshot.json` (write to
-/// a temp name, sync, rename) so a crash mid-install never leaves a torn
-/// snapshot where recovery would read it.
-///
-/// # Errors
-/// Propagated filesystem failures.
-pub fn install_snapshot(fs: &dyn WalFs, dir: &Path, bytes: &[u8]) -> Result<(), ServeError> {
-    fs.create_dir_all(dir)?;
-    let tmp = dir.join("snapshot.json.tmp");
-    {
-        let mut file = fs.create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_data()?;
-    }
-    fs.rename(&tmp, &dir.join(SNAPSHOT_FILE))?;
-    Ok(())
-}
-
 /// Minimal keep-alive HTTP/1.1 client for the primary: one connection,
 /// reconnect on any error.
 struct PrimaryClient {
@@ -389,8 +355,21 @@ struct ReplicaShared {
     view: Published<VerdictView>,
     metrics: ServeMetrics,
     progress: Mutex<Progress>,
-    shutdown: AtomicBool,
-    max_body_bytes: usize,
+    shutdown: Shutdown,
+}
+
+impl Routes for ReplicaShared {
+    fn route(&self, request: &Request) -> Reply {
+        route(self, request)
+    }
+
+    fn metrics(&self) -> &ServeMetrics {
+        &self.metrics
+    }
+
+    fn shutdown(&self) -> &Shutdown {
+        &self.shutdown
+    }
 }
 
 impl ReplicaShared {
@@ -420,7 +399,7 @@ struct Fetcher {
 
 impl Fetcher {
     fn run(mut self) {
-        while !self.shared.shutdown.load(Ordering::Acquire) {
+        while !self.shared.shutdown.requested() {
             match self.step() {
                 Ok(true) => {
                     self.idle_ticks = 0;
@@ -559,7 +538,7 @@ impl Fetcher {
             return self.full_resync();
         }
         for (first, last, id) in segments {
-            if self.shared.shutdown.load(Ordering::Acquire) {
+            if self.shared.shutdown.requested() {
                 return Ok(());
             }
             let from = self.core.applied_seq().saturating_add(1);
@@ -584,15 +563,16 @@ impl Fetcher {
         Ok(())
     }
 
-    /// Abandons local history: wipe the WAL directory, install the
-    /// primary's snapshot (if it has one), and recover from scratch.
+    /// Abandons local history: replace the WAL directory with the
+    /// primary's snapshot (or with nothing, if it has none yet) and
+    /// recover from scratch. A snapshot that fails its decode or CRC
+    /// check is refused before anything local is touched.
     fn full_resync(&mut self) -> Result<(), String> {
-        let snapshot = self.client.request("GET", "/wal/snapshot", &[])?;
-        wipe_dir(self.fs.as_ref(), &self.dir).map_err(|e| format!("resync wipe: {e}"))?;
-        if snapshot.status == 200 && !snapshot.body.is_empty() {
-            install_snapshot(self.fs.as_ref(), &self.dir, &snapshot.body)
-                .map_err(|e| format!("resync install: {e}"))?;
-        }
+        let fetched = self.client.request("GET", "/wal/snapshot", &[])?;
+        let snapshot =
+            (fetched.status == 200 && !fetched.body.is_empty()).then_some(fetched.body.as_slice());
+        replace_with_snapshot(self.fs.as_ref(), &self.dir, snapshot)
+            .map_err(|e| format!("resync: {e}"))?;
         let obs = self.shared.metrics.observer();
         let (core, view) = ReplicaCore::recover(
             &self.dir,
@@ -666,18 +646,20 @@ impl Fetcher {
 
 /// Handle to a running replica: the bound address, the live view, and
 /// shutdown.
+///
+/// Dropping the handle without [`shutdown`](Self::shutdown) stops the
+/// serve shell (releasing its listener and joining its workers) and tells
+/// the fetch thread to exit after its current step.
 pub struct ReplicaHandle {
-    addr: SocketAddr,
     shared: Arc<ReplicaShared>,
     fetcher: Option<thread::JoinHandle<()>>,
-    acceptor: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
+    shell: Shell,
 }
 
 impl ReplicaHandle {
     /// The bound serve address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shell.addr()
     }
 
     /// The currently published view.
@@ -717,29 +699,18 @@ impl ReplicaHandle {
     /// Currently infallible; the signature reserves room for surfacing
     /// drain failures.
     pub fn shutdown(mut self) -> Result<Arc<VerdictView>, ServeError> {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.request();
         if let Some(handle) = self.fetcher.take() {
             let _ = handle.join();
         }
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.shell.stop();
         Ok(self.shared.view.get())
-    }
-}
-
-impl Drop for ReplicaHandle {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
     }
 }
 
 impl std::fmt::Debug for ReplicaHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaHandle").field("addr", &self.addr).finish_non_exhaustive()
+        f.debug_struct("ReplicaHandle").field("addr", &self.addr()).finish_non_exhaustive()
     }
 }
 
@@ -751,21 +722,14 @@ impl std::fmt::Debug for ReplicaHandle {
 /// is *not* a start error — the fetch thread keeps retrying and reports
 /// through `/replica`.)
 pub fn start(config: ReplicaConfig) -> Result<ReplicaHandle, ServeError> {
-    let metrics = if config.trace_capacity > 0 {
-        ServeMetrics::with_trace(config.trace_capacity)
-    } else {
-        ServeMetrics::new()
-    };
+    let metrics = ServeMetrics::with_trace(config.trace_capacity);
     let (fs, dir): (Arc<dyn WalFs>, PathBuf) = match &config.data_dir {
         Some(dir) => (Arc::new(StdFs), dir.clone()),
         None => (Arc::new(FaultFs::new()), PathBuf::from("/replica")),
     };
     let (core, view) =
         ReplicaCore::recover(&dir, Arc::clone(&fs), config.wal, config.epoch, metrics.observer())?;
-
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
 
     let shared = Arc::new(ReplicaShared {
         id: config.id.clone(),
@@ -778,10 +742,20 @@ pub fn start(config: ReplicaConfig) -> Result<ReplicaHandle, ServeError> {
             fingerprint: view.fingerprint(),
             ..Progress::default()
         }),
-        shutdown: AtomicBool::new(false),
-        max_body_bytes: config.max_body_bytes,
+        shutdown: Shutdown::default(),
     });
     shared.view.publish(view);
+
+    let shell = Shell::start(
+        listener,
+        Arc::clone(&shared) as Arc<dyn Routes>,
+        ShellConfig {
+            workers: config.workers,
+            read_timeout: SHELL_READ_TIMEOUT,
+            max_body_bytes: SHELL_MAX_BODY_BYTES,
+            name: "replica",
+        },
+    )?;
 
     let fetcher = Fetcher {
         core,
@@ -792,162 +766,46 @@ pub fn start(config: ReplicaConfig) -> Result<ReplicaHandle, ServeError> {
         wal_config: config.wal,
         epoch_config: config.epoch,
         poll_interval: config.poll_interval,
-        serve_addr: addr.to_string(),
+        serve_addr: shell.addr().to_string(),
         idle_ticks: 0,
     };
     let fetch_handle =
         thread::Builder::new().name("replica-fetch".to_string()).spawn(move || fetcher.run())?;
 
-    let (sender, receiver) = mpsc::channel::<TcpStream>();
-    let receiver = Arc::new(Mutex::new(receiver));
-    let workers = (0..config.workers.max(1))
-        .map(|i| {
-            let receiver = Arc::clone(&receiver);
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("replica-http-{i}"))
-                .spawn(move || worker_loop(&receiver, &shared))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let acceptor_shared = Arc::clone(&shared);
-    let acceptor = thread::Builder::new().name("replica-accept".to_string()).spawn(move || {
-        accept_loop(&listener, &sender, &acceptor_shared);
-    })?;
-
-    Ok(ReplicaHandle {
-        addr,
-        shared,
-        fetcher: Some(fetch_handle),
-        acceptor: Some(acceptor),
-        workers,
-    })
+    Ok(ReplicaHandle { shared, fetcher: Some(fetch_handle), shell })
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    sender: &mpsc::Sender<TcpStream>,
-    shared: &Arc<ReplicaShared>,
-) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(SHELL_READ_TIMEOUT));
-                if sender.send(stream).is_err() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn worker_loop(receiver: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, shared: &Arc<ReplicaShared>) {
-    loop {
-        let stream = {
-            let guard = receiver.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.recv_timeout(Duration::from_millis(100))
-        };
-        match stream {
-            Ok(stream) => handle_connection(stream, shared),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<ReplicaShared>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let request = match read_request(&mut reader, shared.max_body_bytes) {
-            Ok(r) => r,
-            Err(HttpError::BadRequest(message)) => {
-                let _ = write_response(&mut writer, 400, &error_body(&message), false);
-                return;
-            }
-            Err(HttpError::PayloadTooLarge { limit }) => {
-                let body = error_body(&format!("body exceeds {limit} bytes"));
-                let _ = write_response(&mut writer, 413, &body, false);
-                return;
-            }
-            Err(HttpError::Closed | HttpError::Io(_)) => return,
-        };
-        let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::Acquire);
-        shared.metrics.observer().add(Counter::HttpRequests, 1);
-        let (status, body) = route(shared, &request);
-        let class = match status {
-            200..=299 => Some(Counter::HttpResponses2xx),
-            400..=499 => Some(Counter::HttpResponses4xx),
-            _ => Some(Counter::HttpResponses5xx),
-        };
-        if let Some(counter) = class {
-            shared.metrics.observer().add(counter, 1);
-        }
-        if write_response(&mut writer, status, &body, keep_alive).is_err() || !keep_alive {
-            return;
-        }
-    }
-}
-
-/// Read-only route table; writes are pointed back at the primary.
-fn route(shared: &Arc<ReplicaShared>, request: &Request) -> (u16, String) {
-    let path = request.path.as_str();
-    match (request.method.as_str(), path) {
+/// The replica's read-only route table; writes are pointed back at the
+/// primary.
+fn route(shared: &ReplicaShared, request: &Request) -> Reply {
+    match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             let progress = shared.progress();
             let mut doc = Json::object();
-            doc.insert(
-                "status",
-                if shared.shutdown.load(Ordering::Acquire) { "draining" } else { "ok" },
-            );
+            doc.insert("status", if shared.shutdown.requested() { "draining" } else { "ok" });
             doc.insert("role", "replica");
             doc.insert("applied_seq", progress.applied_seq);
             doc.insert("epoch", progress.epoch);
             doc.insert("caught_up", progress.caught_up);
-            (200, doc.to_json())
+            Reply::json(200, &doc)
         }
-        ("GET", "/replica") => (200, status_doc(shared).to_json()),
+        ("GET", "/replica") => Reply::json(200, &status_doc(shared)),
         ("GET", "/metrics.json") => {
-            let progress = shared.progress();
-            (200, shared.metrics.to_json(progress.epoch, 0).to_json())
+            Reply::json(200, &shared.metrics.to_json(shared.progress().epoch, 0))
         }
         ("GET", "/metrics") => {
-            let progress = shared.progress();
-            (200, shared.metrics.to_prometheus(progress.epoch, 0))
+            Reply::prometheus(shared.metrics.to_prometheus(shared.progress().epoch, 0))
         }
         ("POST", "/v1/votes") => {
-            (405, error_body(&format!("replica is read-only; write to {}", shared.primary)))
+            Reply::error(405, &format!("replica is read-only; write to {}", shared.primary))
         }
         ("POST", "/v1/admin/shutdown") => {
-            shared.shutdown.store(true, Ordering::Release);
+            shared.shutdown.request();
             let mut doc = Json::object();
             doc.insert("draining", true);
-            (202, doc.to_json())
+            Reply::json(202, &doc)
         }
-        ("GET", _) if path.starts_with("/v1/facts/") => {
-            let name = path.get("/v1/facts/".len()..).unwrap_or("");
-            fact_reply(&shared.view.get(), name)
-        }
-        ("GET", _) if path.starts_with("/v1/sources/") && path.ends_with("/trust") => {
-            let name = path
-                .get("/v1/sources/".len()..)
-                .and_then(|rest| rest.strip_suffix("/trust"))
-                .unwrap_or("");
-            source_trust_reply(&shared.view.get(), name)
-        }
-        ("GET" | "POST", _) => (404, error_body(&format!("no route for {path}"))),
-        (method, _) => (405, error_body(&format!("method {method} not allowed"))),
+        _ => read_routes(&shared.view, request),
     }
 }
 
@@ -1114,19 +972,5 @@ mod tests {
         assert!(applied.batches < batches.len() as u64);
         // The applied prefix is a clean batch boundary.
         assert!(core.applied_seq() < muts.len() as u64);
-    }
-
-    #[test]
-    fn wipe_and_install_snapshot_round_trip() {
-        let fs = FaultFs::new();
-        let dir = Path::new("/r");
-        fs.create_dir_all(dir).unwrap();
-        let mut f = fs.create(&dir.join("wal.000001.seg")).unwrap();
-        f.write_all(b"junk").unwrap();
-        drop(f);
-        wipe_dir(&fs, dir).unwrap();
-        assert!(fs.list(dir).unwrap().is_empty());
-        install_snapshot(&fs, dir, b"{}").unwrap();
-        assert_eq!(fs.list(dir).unwrap(), vec!["snapshot.json".to_string()]);
     }
 }

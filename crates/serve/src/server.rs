@@ -1,9 +1,9 @@
-//! The online corroboration server.
+//! The online corroboration server: the primary role.
 //!
 //! Thread layout:
 //!
 //! ```text
-//! acceptor ──conn──▶ worker pool (N threads, keep-alive HTTP)
+//! serve shell (acceptor + N workers, keep-alive HTTP; see shell.rs)
 //!                        │ POST /v1/votes → IngestQueue::try_push (429 when full)
 //!                        ▼
 //!                    epoch thread: drain → WAL append → apply → run_epoch
@@ -18,17 +18,16 @@
 //! mutate engine state, so a crash between accept and epoch is recoverable.
 //!
 //! Graceful shutdown (admin endpoint or [`ServerHandle::shutdown`]): the
-//! acceptor stops, in-flight connections finish their current request, the
-//! queue closes, and the epoch thread runs one final **full** drain epoch
-//! before exiting — the published view then equals a one-shot batch run
-//! over everything ever accepted.
+//! shell stops accepting (its blocking accept is woken by a connection to
+//! its own address), in-flight connections finish their current request,
+//! the queue closes, and the epoch thread runs one final **full** drain
+//! epoch before exiting — the published view then equals a one-shot batch
+//! run over everything ever accepted.
 
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,9 +38,10 @@ use corroborate_obs::{Counter, Json, Observer, Span, TraceSnapshot};
 use crate::cluster::{ClusterState, PrimaryStatus, ReplicaStatus};
 use crate::delta::Mutation;
 use crate::epoch::{EpochConfig, EpochEngine, EpochMode, EpochStats, Published, VerdictView};
-use crate::http::{query_param, read_request, write_response_headers, HttpError, Request};
+use crate::http::{query_param, Request};
 use crate::metrics::{ReplGauges, ServeMetrics};
 use crate::queue::IngestQueue;
+use crate::shell::{read_routes, Reply, Routes, Shell, ShellConfig, Shutdown};
 use crate::ship::{ShipLog, TailResponse};
 use crate::wal::{Wal, WalConfig};
 use crate::ServeError;
@@ -92,12 +92,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// `Content-Type` of every JSON route.
-const CONTENT_TYPE_JSON: &str = "application/json";
-/// `Content-Type` of the Prometheus text exposition endpoint.
-const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4";
-/// `Content-Type` of shipped WAL bytes (segments, tail frames, snapshot).
-const CONTENT_TYPE_BINARY: &str = "application/octet-stream";
 /// Seconds a shed (429) client should wait before retrying — roughly the
 /// time a couple of epoch batches need to drain the queue.
 const RETRY_AFTER_SECS: &str = "1";
@@ -116,52 +110,40 @@ struct Shared {
     view: Published<VerdictView>,
     metrics: ServeMetrics,
     epoch_counter: AtomicU64,
-    shutdown: AtomicBool,
-    max_body_bytes: usize,
+    shutdown: Shutdown,
     /// Replication feed; disabled (empty) until a durable WAL attaches.
     ship: Arc<ShipLog>,
     /// Replica heartbeat registry behind `GET /cluster`.
     cluster: Arc<ClusterState>,
 }
 
-/// A fully formed HTTP reply: status, content type, body bytes, and any
-/// extra headers (e.g. `Retry-After` on 429).
-struct Reply {
-    status: u16,
-    content_type: &'static str,
-    body: Vec<u8>,
-    extra: Vec<(&'static str, String)>,
-}
-
-impl Reply {
-    fn json(status: u16, body: String) -> Self {
-        Self { status, content_type: CONTENT_TYPE_JSON, body: body.into_bytes(), extra: Vec::new() }
+impl Routes for Shared {
+    fn route(&self, request: &Request) -> Reply {
+        route(self, request)
     }
 
-    fn binary(body: Vec<u8>) -> Self {
-        Self { status: 200, content_type: CONTENT_TYPE_BINARY, body, extra: Vec::new() }
+    fn metrics(&self) -> &ServeMetrics {
+        &self.metrics
     }
 
-    fn with_header(mut self, name: &'static str, value: String) -> Self {
-        self.extra.push((name, value));
-        self
+    fn shutdown(&self) -> &Shutdown {
+        &self.shutdown
     }
 }
 
-/// A running server; dropping the handle without calling
-/// [`shutdown`](Self::shutdown) aborts the threads unclean.
+/// A running server. Dropping the handle without calling
+/// [`shutdown`](Self::shutdown) stops the HTTP shell but leaves the epoch
+/// thread undrained.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    shell: Shell,
     epoch_thread: Option<JoinHandle<Result<(), ServeError>>>,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shell.addr()
     }
 
     /// The currently published verdict view.
@@ -171,19 +153,12 @@ impl ServerHandle {
 
     /// The telemetry document `/metrics.json` serves.
     pub fn metrics_json(&self) -> Json {
-        refresh_repl_gauges(&self.shared);
-        self.shared
-            .metrics
-            .to_json(self.shared.epoch_counter.load(Ordering::Acquire), self.shared.queue.len())
+        metrics_doc(&self.shared)
     }
 
     /// The Prometheus text document `/metrics` serves.
     pub fn metrics_prometheus(&self) -> String {
-        refresh_repl_gauges(&self.shared);
-        self.shared.metrics.to_prometheus(
-            self.shared.epoch_counter.load(Ordering::Acquire),
-            self.shared.queue.len(),
-        )
+        metrics_text(&self.shared)
     }
 
     /// The membership document `/cluster` serves.
@@ -204,7 +179,7 @@ impl ServerHandle {
 
     /// Whether shutdown has been requested (e.g. via the admin endpoint).
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
+        self.shared.shutdown.requested()
     }
 
     /// Requests and completes a graceful drain: stop accepting, finish
@@ -230,13 +205,7 @@ impl ServerHandle {
     }
 
     fn drain(&mut self) -> Result<(), ServeError> {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(t) = self.acceptor.take() {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
+        self.shell.stop();
         // Workers are done: no more producers. Close and drain.
         self.shared.queue.close();
         if let Some(t) = self.epoch_thread.take() {
@@ -255,7 +224,7 @@ impl ServerHandle {
 
 /// Boots the server: recovers WAL state (when configured), runs the first
 /// epoch synchronously so the initial view reflects recovered data, then
-/// starts the acceptor, workers, and epoch thread.
+/// starts the HTTP shell and the epoch thread.
 ///
 /// # Errors
 /// Bind failures, WAL recovery failures, engine-configuration failures.
@@ -295,40 +264,23 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServeError> {
         view: Published::new(VerdictView::empty(&config.epoch)?),
         metrics,
         epoch_counter: AtomicU64::new(initial.epoch()),
-        shutdown: AtomicBool::new(false),
-        max_body_bytes: config.max_body_bytes,
+        shutdown: Shutdown::default(),
         ship,
         cluster: Arc::new(ClusterState::new()),
     });
     shared.view.publish(initial);
     shared.metrics.note_epoch_published();
 
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
-    let (conn_tx, conn_rx) = std::sync::mpsc::channel::<TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        let read_timeout = config.read_timeout;
-        std::thread::Builder::new()
-            .name("serve-acceptor".into())
-            .spawn(move || accept_loop(&listener, &conn_tx, &shared, read_timeout))
-            .map_err(ServeError::Io)?
-    };
-
-    let workers = (0..config.workers.max(1))
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&conn_rx);
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &shared))
-                .map_err(ServeError::Io)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let shell = Shell::start(
+        TcpListener::bind(&config.addr)?,
+        Arc::clone(&shared) as Arc<dyn Routes>,
+        ShellConfig {
+            workers: config.workers,
+            read_timeout: config.read_timeout,
+            max_body_bytes: config.max_body_bytes,
+            name: "serve",
+        },
+    )?;
 
     let epoch_thread = {
         let shared = Arc::clone(&shared);
@@ -340,125 +292,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServeError> {
             .map_err(ServeError::Io)?
     };
 
-    Ok(ServerHandle {
-        addr,
-        shared,
-        acceptor: Some(acceptor),
-        workers,
-        epoch_thread: Some(epoch_thread),
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &Sender<TcpStream>,
-    shared: &Shared,
-    read_timeout: Duration,
-) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Hand the stream to a worker in blocking mode with timeouts.
-                if stream.set_nonblocking(false).is_err()
-                    || stream.set_read_timeout(Some(read_timeout)).is_err()
-                    || stream.set_write_timeout(Some(read_timeout)).is_err()
-                {
-                    continue;
-                }
-                // Responses are single buffered writes; Nagle only adds
-                // delayed-ACK stalls to keep-alive request/response turns.
-                let _ = stream.set_nodelay(true);
-                if conn_tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    // Dropping conn_tx disconnects the worker channel.
-}
-
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Shared) {
-    loop {
-        let stream = {
-            // A worker that panicked while holding the lock poisons it for
-            // every sibling; the receiver itself is still sound, so keep
-            // serving instead of cascading the panic across the pool.
-            let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            match guard.recv() {
-                Ok(s) => s,
-                Err(_) => return, // acceptor gone and channel drained
-            }
-        };
-        handle_connection(stream, shared);
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let request = match read_request(&mut reader, shared.max_body_bytes) {
-            Ok(r) => r,
-            Err(HttpError::Closed) => return,
-            Err(HttpError::BadRequest(message)) => {
-                respond(shared, &mut writer, &Reply::json(400, error_body(&message)), false);
-                return;
-            }
-            Err(HttpError::PayloadTooLarge { limit }) => {
-                let reply = Reply::json(413, error_body(&format!("body exceeds {limit} bytes")));
-                respond(shared, &mut writer, &reply, false);
-                return;
-            }
-            // Timeouts surface as WouldBlock/TimedOut; either way the
-            // keep-alive session is over.
-            Err(HttpError::Io(_)) => return,
-        };
-        let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::Acquire);
-        shared.metrics.observer().add(Counter::HttpRequests, 1);
-        let reply =
-            shared
-                .metrics
-                .observer()
-                .traced(Span::Request, request.body.len() as u64, || route(shared, &request));
-        respond(shared, &mut writer, &reply, keep_alive);
-        if !keep_alive {
-            return;
-        }
-    }
-}
-
-fn respond(shared: &Shared, writer: &mut impl std::io::Write, reply: &Reply, keep_alive: bool) {
-    let class = match reply.status {
-        200..=299 => Some(Counter::HttpResponses2xx),
-        400..=499 => Some(Counter::HttpResponses4xx),
-        500..=599 => Some(Counter::HttpResponses5xx),
-        _ => None,
-    };
-    if let Some(c) = class {
-        shared.metrics.observer().add(c, 1);
-    }
-    let extra: Vec<(&str, &str)> = reply.extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
-    let _ = write_response_headers(
-        writer,
-        reply.status,
-        reply.content_type,
-        &extra,
-        &reply.body,
-        keep_alive,
-    );
-}
-
-pub(crate) fn error_body(message: &str) -> String {
-    let mut obj = Json::object();
-    obj.insert("error", message);
-    obj.to_json()
+    Ok(ServerHandle { shared, shell, epoch_thread: Some(epoch_thread) })
 }
 
 /// Pushes point-in-time replication readings into the metrics gauges. The
@@ -475,6 +309,16 @@ fn refresh_repl_gauges(shared: &Shared) {
     });
 }
 
+fn metrics_doc(shared: &Shared) -> Json {
+    refresh_repl_gauges(shared);
+    shared.metrics.to_json(shared.epoch_counter.load(Ordering::Acquire), shared.queue.len())
+}
+
+fn metrics_text(shared: &Shared) -> String {
+    refresh_repl_gauges(shared);
+    shared.metrics.to_prometheus(shared.epoch_counter.load(Ordering::Acquire), shared.queue.len())
+}
+
 fn cluster_doc(shared: &Shared) -> Json {
     let view = shared.view.get();
     let primary = PrimaryStatus {
@@ -487,45 +331,38 @@ fn cluster_doc(shared: &Shared) -> Json {
     shared.cluster.to_json(&shared.ship, &primary)
 }
 
+/// The primary's route table.
 fn route(shared: &Shared, request: &Request) -> Reply {
-    // `/metrics` is the one non-JSON admin surface: Prometheus text.
-    if request.method == "GET" && request.path == "/metrics" {
-        refresh_repl_gauges(shared);
-        let text = shared
-            .metrics
-            .to_prometheus(shared.epoch_counter.load(Ordering::Acquire), shared.queue.len());
-        return Reply {
-            status: 200,
-            content_type: CONTENT_TYPE_PROM,
-            body: text.into_bytes(),
-            extra: Vec::new(),
-        };
+    if request.path.starts_with("/wal/") {
+        return route_wal(shared, request);
     }
-    if request.path.starts_with("/wal/") || request.path.starts_with("/cluster") {
-        return route_repl(shared, request);
+    match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/v1/votes") => post_votes(shared, &request.body),
+        ("GET", "/healthz") => healthz(shared),
+        ("GET", "/metrics") => Reply::prometheus(metrics_text(shared)),
+        ("GET", "/metrics.json") => Reply::json(200, &metrics_doc(shared)),
+        ("GET", "/cluster") => Reply::json(200, &cluster_doc(shared)),
+        ("POST", "/cluster/heartbeat") => post_heartbeat(shared, &request.body),
+        ("POST", "/v1/admin/shutdown") => {
+            shared.shutdown.request();
+            let mut obj = Json::object();
+            obj.insert("draining", true);
+            Reply::json(202, &obj)
+        }
+        _ => read_routes(&shared.view, request),
     }
-    let (status, body) = route_json(shared, request);
-    let reply = Reply::json(status, body);
-    if status == 429 {
-        // Honest backoff signal for shed writes (satellite: Retry-After).
-        return reply.with_header("Retry-After", RETRY_AFTER_SECS.to_string());
-    }
-    reply
 }
 
-/// Replication routes: WAL shipping (binary) and the cluster control plane.
-fn route_repl(shared: &Shared, request: &Request) -> Reply {
-    if request.path.starts_with("/wal/") && !shared.ship.enabled() {
-        return Reply::json(
-            404,
-            error_body("replication requires a durable primary (start with data_dir)"),
-        );
+/// WAL shipping routes (binary bodies).
+fn route_wal(shared: &Shared, request: &Request) -> Reply {
+    if !shared.ship.enabled() {
+        return Reply::error(404, "replication requires a durable primary (start with data_dir)");
     }
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/wal/segments") => match query_param(&request.query, "id") {
             Some(raw) => {
                 let Ok(id) = raw.parse::<u64>() else {
-                    return Reply::json(400, error_body("segment id must be a u64"));
+                    return Reply::error(400, "segment id must be a u64");
                 };
                 let obs = shared.metrics.observer();
                 match obs.traced(Span::SegmentShip, id, || shared.ship.read_segment(id)) {
@@ -534,21 +371,19 @@ fn route_repl(shared: &Shared, request: &Request) -> Reply {
                         obs.add(Counter::ReplBytesShipped, bytes.len() as u64);
                         Reply::binary(bytes)
                     }
-                    None => Reply::json(
+                    None => Reply::error(
                         404,
-                        error_body(&format!(
-                            "segment {id} is not sealed here (unknown or compacted)"
-                        )),
+                        &format!("segment {id} is not sealed here (unknown or compacted)"),
                     ),
                 }
             }
-            None => Reply::json(200, shared.ship.index_json().to_json()),
+            None => Reply::json(200, &shared.ship.index_json()),
         },
         ("GET", "/wal/tail") => {
             let Some(from_seq) =
                 query_param(&request.query, "from_seq").and_then(|v| v.parse::<u64>().ok())
             else {
-                return Reply::json(400, error_body("tail requires ?from_seq=<u64>"));
+                return Reply::error(400, "tail requires ?from_seq=<u64>");
             };
             let obs = shared.metrics.observer();
             let tail = obs.traced(Span::TailShip, from_seq, || {
@@ -568,26 +403,24 @@ fn route_repl(shared: &Shared, request: &Request) -> Reply {
                     obj.insert("tail_floor_seq", floor_seq);
                     obj.insert("snapshot_seq", shared.ship.snapshot_seq());
                     obj.insert("next_seq", shared.ship.next_seq());
-                    Reply::json(410, obj.to_json())
+                    Reply::json(410, &obj)
                 }
             }
         }
         ("GET", "/wal/snapshot") => match shared.ship.read_snapshot() {
             Some(bytes) => Reply::binary(bytes),
-            None => Reply::json(404, error_body("no snapshot on disk yet")),
+            None => Reply::error(404, "no snapshot on disk yet"),
         },
-        ("GET", "/cluster") => Reply::json(200, cluster_doc(shared).to_json()),
-        ("POST", "/cluster/heartbeat") => post_heartbeat(shared, &request.body),
-        (_, path) => Reply::json(404, error_body(&format!("no route for {path}"))),
+        (_, path) => Reply::error(404, &format!("no route for {path}")),
     }
 }
 
 fn post_heartbeat(shared: &Shared, body: &[u8]) -> Reply {
     let Ok(text) = std::str::from_utf8(body) else {
-        return Reply::json(400, error_body("body is not UTF-8"));
+        return Reply::error(400, "body is not UTF-8");
     };
     let Ok(root) = Json::parse(text) else {
-        return Reply::json(400, error_body("invalid JSON"));
+        return Reply::error(400, "invalid JSON");
     };
     match ReplicaStatus::from_json(&root, shared.ship.now_nanos()) {
         Some(status) => {
@@ -596,42 +429,9 @@ fn post_heartbeat(shared: &Shared, body: &[u8]) -> Reply {
             let mut obj = Json::object();
             obj.insert("ok", true);
             obj.insert("durable_seq", shared.ship.durable_seq());
-            Reply::json(200, obj.to_json())
+            Reply::json(200, &obj)
         }
-        None => Reply::json(
-            400,
-            error_body("heartbeat requires id, addr, applied_seq, epoch, fingerprint"),
-        ),
-    }
-}
-
-fn route_json(shared: &Shared, request: &Request) -> (u16, String) {
-    let path = request.path.as_str();
-    match (request.method.as_str(), path) {
-        ("POST", "/v1/votes") => post_votes(shared, &request.body),
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/metrics.json") => {
-            refresh_repl_gauges(shared);
-            let doc = shared
-                .metrics
-                .to_json(shared.epoch_counter.load(Ordering::Acquire), shared.queue.len());
-            (200, doc.to_json())
-        }
-        ("POST", "/v1/admin/shutdown") => {
-            shared.shutdown.store(true, Ordering::Release);
-            let mut obj = Json::object();
-            obj.insert("draining", true);
-            (202, obj.to_json())
-        }
-        ("GET", _) if path.starts_with("/v1/facts/") => {
-            get_fact(shared, &path["/v1/facts/".len()..])
-        }
-        ("GET", _) if path.starts_with("/v1/sources/") && path.ends_with("/trust") => {
-            let name = &path["/v1/sources/".len()..path.len() - "/trust".len()];
-            get_source_trust(shared, name)
-        }
-        ("GET" | "POST", _) => (404, error_body(&format!("no route for {path}"))),
-        (method, _) => (405, error_body(&format!("method {method} not allowed"))),
+        None => Reply::error(400, "heartbeat requires id, addr, applied_seq, epoch, fingerprint"),
     }
 }
 
@@ -701,13 +501,13 @@ fn parse_ingest(body: &[u8]) -> Result<Vec<Mutation>, String> {
     Ok(mutations)
 }
 
-fn post_votes(shared: &Shared, body: &[u8]) -> (u16, String) {
+fn post_votes(shared: &Shared, body: &[u8]) -> Reply {
     let mutations = match parse_ingest(body) {
         Ok(m) => m,
-        Err(message) => return (400, error_body(&message)),
+        Err(message) => return Reply::error(400, &message),
     };
     if mutations.is_empty() {
-        return (400, error_body("no mutations in request"));
+        return Reply::error(400, "no mutations in request");
     }
     let n = mutations.len();
     match shared.queue.try_push(mutations) {
@@ -720,75 +520,25 @@ fn post_votes(shared: &Shared, body: &[u8]) -> (u16, String) {
             let mut obj = Json::object();
             obj.insert("accepted", n);
             obj.insert("epoch", shared.epoch_counter.load(Ordering::Acquire));
-            (202, obj.to_json())
+            Reply::json(202, &obj)
         }
         Err(ServeError::QueueFull { capacity }) => {
             shared.metrics.observer().add(Counter::IngestRejected, 1);
             shared.metrics.note_shed();
-            (429, error_body(&format!("ingest queue full (capacity {capacity}), retry later")))
+            // An honest backoff signal for shed writes.
+            Reply::error(429, &format!("ingest queue full (capacity {capacity}), retry later"))
+                .with_header("Retry-After", RETRY_AFTER_SECS.to_string())
         }
-        Err(_) => (503, error_body("service is draining")),
+        Err(_) => Reply::error(503, "service is draining"),
     }
 }
 
-fn healthz(shared: &Shared) -> (u16, String) {
+fn healthz(shared: &Shared) -> Reply {
     let mut obj = Json::object();
-    obj.insert("status", if shared.shutdown.load(Ordering::Acquire) { "draining" } else { "ok" });
+    obj.insert("status", if shared.shutdown.requested() { "draining" } else { "ok" });
     obj.insert("epoch", shared.epoch_counter.load(Ordering::Acquire));
     obj.insert("queue_depth", shared.queue.len());
-    (200, obj.to_json())
-}
-
-fn get_fact(shared: &Shared, name: &str) -> (u16, String) {
-    fact_reply(&shared.view.get(), name)
-}
-
-/// Renders the `/v1/facts/{name}` document against a view — shared with
-/// the replica's read-only route table.
-pub(crate) fn fact_reply(view: &VerdictView, name: &str) -> (u16, String) {
-    let Some(fact) = view.fact_by_name(name) else {
-        return (404, error_body(&format!("unknown fact {name:?}")));
-    };
-    let p = view.probability(fact);
-    let mut obj = Json::object();
-    obj.insert("fact", name);
-    obj.insert("probability", p);
-    obj.insert("verdict", Label::from_probability(p).as_bool());
-    obj.insert("epoch", view.epoch());
-    obj.insert("stale", view.is_stale(fact));
-    let dataset = view.dataset();
-    let votes: Vec<Json> = dataset
-        .votes()
-        .votes_on(fact)
-        .iter()
-        .map(|sv| {
-            let mut v = Json::object();
-            v.insert("source", dataset.source_name(sv.source));
-            v.insert("vote", sv.vote.symbol().to_string());
-            v.insert("trust", view.trust().trust(sv.source));
-            v
-        })
-        .collect();
-    obj.insert("votes", Json::Arr(votes));
-    (200, obj.to_json())
-}
-
-fn get_source_trust(shared: &Shared, name: &str) -> (u16, String) {
-    source_trust_reply(&shared.view.get(), name)
-}
-
-/// Renders the `/v1/sources/{name}/trust` document against a view —
-/// shared with the replica's read-only route table.
-pub(crate) fn source_trust_reply(view: &VerdictView, name: &str) -> (u16, String) {
-    let Some(source) = view.source_by_name(name) else {
-        return (404, error_body(&format!("unknown source {name:?}")));
-    };
-    let mut obj = Json::object();
-    obj.insert("source", name);
-    obj.insert("trust", view.trust().trust(source));
-    obj.insert("epoch", view.epoch());
-    obj.insert("stale_facts", view.stale_count());
-    (200, obj.to_json())
+    Reply::json(200, &obj)
 }
 
 fn record_epoch_counters(metrics: &ServeMetrics, stats: &EpochStats) {

@@ -24,11 +24,12 @@
 //! closure), no hash maps, and saturating/checked arithmetic throughout.
 
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use corroborate_obs::Json;
 
+use crate::wal::{seg_path, snapshot_path};
 use crate::walfs::WalFs;
 
 /// Nanosecond clock injected by the host (the serve layer passes its
@@ -284,7 +285,7 @@ impl ShipLog {
             let inner = self.lock();
             (inner.dir.clone()?, Arc::clone(inner.fs.as_ref()?))
         };
-        fs.read(&dir.join("snapshot.json")).ok()
+        fs.read(&snapshot_path(&dir)).ok()
     }
 
     /// Serves a tail fetch: whole durable frames starting exactly at
@@ -335,10 +336,6 @@ impl ShipLog {
             .find(|f| f.last_seq > applied_seq)
             .map_or(0.0, |f| now.saturating_sub(f.nanos) as f64 / 1e9)
     }
-}
-
-fn seg_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("wal.{id:06}.seg"))
 }
 
 #[cfg(test)]

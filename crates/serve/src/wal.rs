@@ -32,10 +32,19 @@
 //! When [`WalConfig::compact_after_records`] records accumulate, the
 //! active segment is sealed and a snapshot of the whole dataset state is
 //! written **concurrently with ingest** on a background thread (tmp-file
-//! rename, as before); once it lands, the sealed segments it covers are
-//! deleted. Recovery loads the snapshot, then replays any batch records
-//! with `seq` greater than the snapshot's — replay-then-snapshot stays
-//! idempotent.
+//! rename); once it lands, the sealed segments it covers are deleted.
+//!
+//! A **snapshot** (`snapshot.cwb`) is written in the log's own codec: one
+//! CWB1 frame holding the state's canonical mutation stream (sources,
+//! facts, then votes), with the covered sequence in the header's
+//! `first_seq` field. So recovery, `GET /wal/snapshot` shipping and a
+//! replica's resync share one decoder and one CRC. Unlike a segment's torn
+//! tail, a snapshot is all or nothing: a CRC mismatch, a truncated frame,
+//! or bytes after it are [`ServeError::WalCorrupt`]. Recovery loads the
+//! snapshot, then replays any batch records with `seq` greater than the
+//! snapshot's — replay-then-snapshot stays idempotent. The manifest
+//! records the snapshot's sequence too, and recovery refuses a directory
+//! whose snapshot is missing or covers less than that.
 //!
 //! All I/O goes through the [`WalFs`] trait, so the crash-recovery matrix
 //! drives the exact same code over the deterministic fault-injecting
@@ -88,8 +97,8 @@ impl Default for WalConfig {
     }
 }
 
-const SNAPSHOT_FILE: &str = "snapshot.json";
-const SNAPSHOT_TMP: &str = "snapshot.json.tmp";
+const SNAPSHOT_FILE: &str = "snapshot.cwb";
+const SNAPSHOT_TMP: &str = "snapshot.cwb.tmp";
 const MANIFEST_FILE: &str = "wal.manifest.json";
 const MANIFEST_TMP: &str = "wal.manifest.json.tmp";
 
@@ -147,8 +156,12 @@ fn seg_name(id: u64) -> String {
     format!("wal.{id:06}.seg")
 }
 
-fn seg_path(dir: &Path, id: u64) -> PathBuf {
+pub(crate) fn seg_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(seg_name(id))
+}
+
+pub(crate) fn snapshot_path(dir: &Path) -> PathBuf {
+    dir.join(SNAPSHOT_FILE)
 }
 
 fn parse_seg_name(name: &str) -> Option<u64> {
@@ -302,9 +315,6 @@ fn decode_batch(cur: &mut Cursor<'_>) -> Result<DecodedBatch, String> {
         return Err("bad frame magic".into());
     }
     let count = cur.take_u32().ok_or("truncated frame count")?;
-    if count == 0 {
-        return Err("empty batch frame".into());
-    }
     let first_seq = cur.take_u64().ok_or("truncated frame first_seq")?;
     let payload_len = cur.take_u32().ok_or("truncated frame payload_len")?;
     let crc = cur.take_u64().ok_or("truncated frame crc")?;
@@ -313,7 +323,9 @@ fn decode_batch(cur: &mut Cursor<'_>) -> Result<DecodedBatch, String> {
         return Err("batch crc mismatch".into());
     }
     let mut pc = Cursor { buf: payload, pos: 0 };
-    let mut mutations = Vec::with_capacity(count as usize);
+    // Every mutation takes at least one payload byte: a forged count
+    // cannot reserve more than the frame actually carries.
+    let mut mutations = Vec::with_capacity((count as usize).min(payload.len()));
     for _ in 0..count {
         mutations.push(decode_mutation(&mut pc)?);
     }
@@ -344,6 +356,11 @@ fn decode_segment(bytes: &[u8]) -> SegmentScan {
     while cur.pos < bytes.len() {
         let record_start = cur.pos;
         match decode_batch(&mut cur) {
+            // Only a snapshot frame may be empty; the log never writes one.
+            Ok(b) if b.mutations.is_empty() => {
+                torn = Some(format!("offset {record_start}: empty batch frame"));
+                break;
+            }
             Ok(b) => {
                 batches.push(b);
                 valid_len = cur.pos;
@@ -413,9 +430,11 @@ struct SegmentMeta {
 }
 
 /// Advisory manifest contents; recovery treats the directory scan as
-/// authoritative and uses this only to demand that listed-but-missing
-/// segments are fully covered by the snapshot.
+/// authoritative and uses this only to demand that the snapshot covers
+/// `snapshot_seq` and that listed-but-missing segments are fully covered
+/// by the snapshot.
 struct ManifestInfo {
+    snapshot_seq: u64,
     sealed: Vec<SegmentMeta>,
 }
 
@@ -469,7 +488,7 @@ fn read_manifest(fs: &dyn WalFs, dir: &Path) -> Option<ManifestInfo> {
     if stored != expected {
         return None;
     }
-    Some(ManifestInfo { sealed })
+    Some(ManifestInfo { snapshot_seq, sealed })
 }
 
 // ---------------------------------------------------------------------------
@@ -652,13 +671,14 @@ impl Wal {
         fs.create_dir_all(dir)?;
         let mut dataset = DeltaDataset::new();
 
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        let snapshot_seq = if fs.exists(&snapshot_path) {
-            let text = String::from_utf8(fs.read(&snapshot_path)?)
-                .map_err(|_| ServeError::WalCorrupt { message: "snapshot: not UTF-8".into() })?;
-            let root = Json::parse(&text)
-                .map_err(|e| ServeError::WalCorrupt { message: format!("snapshot: {e}") })?;
-            load_snapshot(&root, &mut dataset)?
+        let snapshot_path = snapshot_path(dir);
+        let have_snapshot = fs.exists(&snapshot_path);
+        let snapshot_seq = if have_snapshot {
+            let (seq, mutations) = decode_snapshot(&fs.read(&snapshot_path)?)?;
+            dataset.apply_all(&mutations)?;
+            // Snapshot state is the epoch baseline, not pending work.
+            dataset.take_dirty();
+            seq
         } else {
             0
         };
@@ -674,6 +694,22 @@ impl Wal {
             fs.list(dir)?.iter().filter_map(|name| parse_seg_name(name)).collect();
         seg_ids.sort_unstable();
         if let Some(manifest) = read_manifest(fs.as_ref(), dir) {
+            // A snapshot only ever lands before the manifest that records
+            // it, so a valid manifest naming a newer one means the
+            // snapshot was lost, not that a crash interrupted compaction.
+            if manifest.snapshot_seq > snapshot_seq {
+                let found = if have_snapshot {
+                    format!("the snapshot covers only seq {snapshot_seq}")
+                } else {
+                    "the snapshot is missing".to_string()
+                };
+                return Err(ServeError::WalCorrupt {
+                    message: format!(
+                        "manifest records a snapshot at seq {} but {found}",
+                        manifest.snapshot_seq
+                    ),
+                });
+            }
             for meta in &manifest.sealed {
                 if !seg_ids.contains(&meta.id) && meta.last_seq > snapshot_seq {
                     return Err(ServeError::WalCorrupt {
@@ -1172,23 +1208,13 @@ impl Wal {
         self.seal_observed(&NOOP)?;
         let snapshot_seq = self.next_seq.saturating_sub(1);
         let covered: Vec<u64> = self.sealed.iter().map(|m| m.id).collect();
-        let snapshot = snapshot_json(dataset, snapshot_seq);
+        let snapshot = encode_snapshot(dataset, snapshot_seq)?;
         let fs = Arc::clone(&self.fs);
         let dir = self.dir.clone();
         let fsync = self.config.fsync;
-        let handle = std::thread::Builder::new().name("wal-compact".into()).spawn(
-            move || -> Result<(), ServeError> {
-                let tmp = dir.join(SNAPSHOT_TMP);
-                let mut f = fs.create(&tmp)?;
-                f.write_all(snapshot.to_json().as_bytes())?;
-                if fsync {
-                    f.sync_data()?;
-                }
-                drop(f);
-                fs.rename(&tmp, &dir.join(SNAPSHOT_FILE))?;
-                Ok(())
-            },
-        )?;
+        let handle = std::thread::Builder::new()
+            .name("wal-compact".into())
+            .spawn(move || write_snapshot(fs.as_ref(), &dir, &snapshot, fsync))?;
         self.compaction = Some(CompactionTask { handle, snapshot_seq, covered });
         Ok(())
     }
@@ -1218,15 +1244,8 @@ impl Wal {
         let _ = self.poll_compaction(true)?;
         self.drain_fsync(obs)?;
         let snapshot_seq = self.next_seq.saturating_sub(1);
-        let snapshot = snapshot_json(dataset, snapshot_seq);
-        let tmp = self.dir.join(SNAPSHOT_TMP);
-        let mut f = self.fs.create(&tmp)?;
-        f.write_all(snapshot.to_json().as_bytes())?;
-        if self.config.fsync {
-            f.sync_data()?;
-        }
-        drop(f);
-        self.fs.rename(&tmp, &self.dir.join(SNAPSHOT_FILE))?;
+        let snapshot = encode_snapshot(dataset, snapshot_seq)?;
+        write_snapshot(self.fs.as_ref(), &self.dir, &snapshot, self.config.fsync)?;
         self.snapshot_seq = snapshot_seq;
 
         // Every journalled record is in the snapshot: restart the log.
@@ -1310,82 +1329,6 @@ impl Wal {
     }
 }
 
-fn snapshot_json(dataset: &DeltaDataset, seq: u64) -> Json {
-    let mut root = Json::object();
-    root.insert("report", "corroborate_snapshot");
-    root.insert("schema_version", 1u64);
-    root.insert("seq", seq);
-    // Re-encode the state as its canonical mutation stream: sources,
-    // facts, then votes. Replaying it into an empty DeltaDataset rebuilds
-    // the exact state (ids are registration-ordered).
-    let mutations = {
-        let ds_mutations: Vec<Json> =
-            snapshot_mutations(dataset).iter().map(mutation_to_json).collect();
-        Json::Arr(ds_mutations)
-    };
-    root.insert("mutations", mutations);
-    root
-}
-
-fn mutation_to_json(m: &Mutation) -> Json {
-    let mut rec = Json::object();
-    match m {
-        Mutation::AddSource { name } => {
-            rec.insert("op", "source");
-            rec.insert("name", name.clone());
-        }
-        Mutation::AddFact { name, label } => {
-            rec.insert("op", "fact");
-            rec.insert("name", name.clone());
-            match label {
-                Some(l) => rec.insert("label", l.as_bool()),
-                None => rec.insert("label", Json::Null),
-            };
-        }
-        Mutation::Cast { source, fact, vote } => {
-            rec.insert("op", "cast");
-            rec.insert("source", source.clone());
-            rec.insert("fact", fact.clone());
-            rec.insert("vote", vote.symbol().to_string());
-        }
-    }
-    rec
-}
-
-fn mutation_from_json(rec: &Json, at: &str) -> Result<Mutation, ServeError> {
-    let corrupt = |message: String| ServeError::WalCorrupt { message };
-    let op = rec
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| corrupt(format!("{at}: record without op")))?;
-    let field = |key: &str| -> Result<String, ServeError> {
-        rec.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| corrupt(format!("{at}: {op} record missing {key}")))
-    };
-    match op {
-        "source" => Ok(Mutation::AddSource { name: field("name")? }),
-        "fact" => {
-            let label = match rec.get("label") {
-                None | Some(Json::Null) => None,
-                Some(Json::Bool(b)) => Some(Label::from_bool(*b)),
-                Some(other) => return Err(corrupt(format!("{at}: bad label {}", other.to_json()))),
-            };
-            Ok(Mutation::AddFact { name: field("name")?, label })
-        }
-        "cast" => {
-            let vote = match field("vote")?.as_str() {
-                "T" => Vote::True,
-                "F" => Vote::False,
-                other => return Err(corrupt(format!("{at}: unknown vote {other:?}"))),
-            };
-            Ok(Mutation::Cast { source: field("source")?, fact: field("fact")?, vote })
-        }
-        other => Err(corrupt(format!("{at}: unknown op {other:?}"))),
-    }
-}
-
 /// The canonical mutation stream of a [`DeltaDataset`]'s current state.
 fn snapshot_mutations(dataset: &DeltaDataset) -> Vec<Mutation> {
     let mut out = Vec::new();
@@ -1414,24 +1357,73 @@ fn snapshot_mutations(dataset: &DeltaDataset) -> Vec<Mutation> {
     out
 }
 
-fn load_snapshot(root: &Json, dataset: &mut DeltaDataset) -> Result<u64, ServeError> {
-    let corrupt = |message: String| ServeError::WalCorrupt { message };
-    let seq = root
-        .get("seq")
-        .and_then(Json::as_i64)
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| corrupt("snapshot: missing seq".into()))?;
-    let mutations = root
-        .get("mutations")
-        .and_then(Json::as_array)
-        .ok_or_else(|| corrupt("snapshot: missing mutations".into()))?;
-    for (i, rec) in mutations.iter().enumerate() {
-        let m = mutation_from_json(rec, &format!("snapshot mutation {i}"))?;
-        dataset.apply(&m)?;
+/// Encodes `dataset`'s state as a snapshot covering `seq`: one frame of
+/// [`snapshot_mutations`] with `seq` in the header's `first_seq` field.
+fn encode_snapshot(dataset: &DeltaDataset, seq: u64) -> Result<Vec<u8>, ServeError> {
+    let mut buf = Vec::new();
+    encode_batch(&mut buf, seq, &snapshot_mutations(dataset))?;
+    Ok(buf)
+}
+
+/// Decodes snapshot bytes into the covered sequence and the state's
+/// mutation stream.
+///
+/// # Errors
+/// [`ServeError::WalCorrupt`] unless `bytes` is exactly one whole frame
+/// with a matching CRC: a snapshot has no valid prefix to fall back to.
+fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<Mutation>), ServeError> {
+    let corrupt =
+        |reason: String| ServeError::WalCorrupt { message: format!("snapshot: {reason}") };
+    let mut cur = Cursor { buf: bytes, pos: 0 };
+    let batch = decode_batch(&mut cur).map_err(corrupt)?;
+    if cur.pos != bytes.len() {
+        let extra = bytes.len().saturating_sub(cur.pos);
+        return Err(corrupt(format!("{extra} trailing bytes after the frame")));
     }
-    // Snapshot state is the epoch baseline, not pending work.
-    dataset.take_dirty();
-    Ok(seq)
+    Ok((batch.first_seq, batch.mutations))
+}
+
+/// Writes snapshot bytes to `dir` atomically: temp file, optional sync,
+/// rename. A crash part-way leaves the previous snapshot in place.
+fn write_snapshot(fs: &dyn WalFs, dir: &Path, bytes: &[u8], fsync: bool) -> Result<(), ServeError> {
+    let tmp = dir.join(SNAPSHOT_TMP);
+    let mut f = fs.create(&tmp)?;
+    f.write_all(bytes)?;
+    if fsync {
+        f.sync_data()?;
+    }
+    drop(f);
+    fs.rename(&tmp, &snapshot_path(dir))?;
+    Ok(())
+}
+
+/// Replaces a log directory's whole history with `snapshot` (or with
+/// nothing) — a replica's full resync. The snapshot is decoded and
+/// CRC-checked first, so a corrupt or truncated one returns an error and
+/// leaves the directory as it was. The manifest is deleted before any
+/// other file, so a crash part-way never leaves a manifest that names a
+/// snapshot which is gone. The installed snapshot is always synced.
+///
+/// # Errors
+/// [`ServeError::WalCorrupt`] for a bad snapshot; filesystem failures.
+pub(crate) fn replace_with_snapshot(
+    fs: &dyn WalFs,
+    dir: &Path,
+    snapshot: Option<&[u8]>,
+) -> Result<(), ServeError> {
+    if let Some(bytes) = snapshot {
+        decode_snapshot(bytes)?;
+    }
+    fs.create_dir_all(dir)?;
+    let mut names = fs.list(dir)?;
+    names.sort_by_key(|name| name != MANIFEST_FILE);
+    for name in names {
+        fs.remove_file(&dir.join(name))?;
+    }
+    if let Some(bytes) = snapshot {
+        write_snapshot(fs, dir, bytes, true)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1665,8 +1657,8 @@ mod tests {
                 wal.append(&m).unwrap();
                 live.apply(&m).unwrap();
             }
-            let snapshot = super::snapshot_json(&live, 2);
-            std::fs::write(dir.join(SNAPSHOT_FILE), snapshot.to_json()).unwrap();
+            let snapshot = encode_snapshot(&live, 2).unwrap();
+            std::fs::write(snapshot_path(&dir), snapshot).unwrap();
         }
         let (_, rec) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(rec.replayed, 0, "stale records skipped");
@@ -1718,15 +1710,159 @@ mod tests {
 
     #[test]
     fn gnarly_names_survive_the_binary_encoding() {
-        let dir = tempdir("names");
         let m = cast("Menu,\"Pages\"\n", "ünïcødé 寿司 \\ fact", Vote::True);
-        {
-            let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
-            wal.append(&m).unwrap();
+        // Once from a log segment, once from a snapshot.
+        for compacted in [false, true] {
+            let dir = tempdir(&format!("names-{compacted}"));
+            {
+                let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+                wal.append(&m).unwrap();
+                if compacted {
+                    let mut live = DeltaDataset::new();
+                    live.apply(&m).unwrap();
+                    wal.compact(&live).unwrap();
+                }
+            }
+            let (_, rec) = Wal::open(&dir, WalConfig::default()).unwrap();
+            assert_eq!(rec.replayed, u64::from(!compacted));
+            assert!(rec.dataset.source_id("Menu,\"Pages\"\n").is_some());
+            assert!(rec.dataset.fact_id("ünïcødé 寿司 \\ fact").is_some());
         }
-        let (_, rec) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert!(rec.dataset.source_id("Menu,\"Pages\"\n").is_some());
-        assert!(rec.dataset.fact_id("ünïcødé 寿司 \\ fact").is_some());
+    }
+
+    /// A FaultFs log in `/wal` holding `stream()`, drained into a snapshot.
+    fn drained_to_snapshot() -> (FaultFs, PathBuf) {
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("/wal");
+        let (mut wal, _) =
+            Wal::open_with(&dir, WalConfig::default(), Arc::new(fs.clone()), &NOOP).unwrap();
+        let mut live = DeltaDataset::new();
+        for m in stream() {
+            wal.append(&m).unwrap();
+            live.apply(&m).unwrap();
+        }
+        wal.compact(&live).unwrap();
+        (fs, dir)
+    }
+
+    fn reopen_err(fs: &FaultFs, dir: &Path) -> String {
+        let err = Wal::open_with(dir, WalConfig::default(), Arc::new(fs.clone()), &NOOP)
+            .expect_err("recovery must refuse");
+        assert!(matches!(err, ServeError::WalCorrupt { .. }), "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn a_changed_byte_inside_a_snapshot_is_corruption() {
+        let (fs, dir) = drained_to_snapshot();
+        let path = snapshot_path(&dir);
+        let bytes = fs.dump(&path).unwrap();
+        let at = bytes.windows(2).position(|w| w == b"f1").expect("fact name in the payload");
+        fs.corrupt(&path, at).unwrap(); // "f1" -> "g1"
+        assert!(reopen_err(&fs, &dir).contains("crc mismatch"));
+        // A flipped header bit is caught too.
+        let (fs, dir) = drained_to_snapshot();
+        fs.corrupt(&snapshot_path(&dir), 5).unwrap();
+        reopen_err(&fs, &dir);
+    }
+
+    #[test]
+    fn a_truncated_or_padded_snapshot_is_corruption_not_a_prefix() {
+        let (fs, dir) = drained_to_snapshot();
+        let path = snapshot_path(&dir);
+        let len = fs.len(&path).unwrap();
+        for cut in [len - 1, HEADER_LEN + 1, HEADER_LEN - 1, 3, 0] {
+            let (fs, dir) = drained_to_snapshot();
+            fs.truncate_raw(&snapshot_path(&dir), cut);
+            reopen_err(&fs, &dir);
+        }
+        let mut f = fs.open_append(&path).unwrap();
+        f.write_all(&[0]).unwrap();
+        drop(f);
+        assert!(reopen_err(&fs, &dir).contains("trailing bytes"));
+    }
+
+    #[test]
+    fn an_empty_state_at_seq_zero_drains_and_reopens() {
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("/wal");
+        let fs_arc = || Arc::new(fs.clone()) as Arc<dyn WalFs>;
+        {
+            let (mut wal, _) = Wal::open_with(&dir, WalConfig::default(), fs_arc(), &NOOP).unwrap();
+            wal.compact(&DeltaDataset::new()).unwrap();
+        }
+        assert!(fs.exists(&snapshot_path(&dir)));
+        let (_, rec) = Wal::open_with(&dir, WalConfig::default(), fs_arc(), &NOOP).unwrap();
+        assert_eq!(rec.next_seq, 1);
+        assert_eq!(rec.dataset.n_facts(), 0);
+        assert_eq!(rec.dataset.n_sources(), 0);
+    }
+
+    #[test]
+    fn recovery_refuses_a_snapshot_older_than_the_manifest_records() {
+        // Missing: a valid manifest records snapshot seq 5, no snapshot.
+        let (fs, dir) = drained_to_snapshot();
+        fs.remove_file(&snapshot_path(&dir)).unwrap();
+        let message = reopen_err(&fs, &dir);
+        assert!(message.contains("snapshot at seq 5") && message.contains("missing"), "{message}");
+
+        // Older: the snapshot on disk covers seq 1, the manifest seq 2.
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("/wal");
+        let (mut wal, _) =
+            Wal::open_with(&dir, WalConfig::default(), Arc::new(fs.clone()), &NOOP).unwrap();
+        let mut live = DeltaDataset::new();
+        let mut first = None;
+        for m in [cast("a", "f1", Vote::True), cast("b", "f1", Vote::False)] {
+            wal.append(&m).unwrap();
+            live.apply(&m).unwrap();
+            wal.compact(&live).unwrap();
+            first = first.or_else(|| fs.dump(&snapshot_path(&dir)));
+        }
+        drop(wal);
+        let mut f = fs.create(&snapshot_path(&dir)).unwrap();
+        f.write_all(&first.unwrap()).unwrap();
+        drop(f);
+        assert!(reopen_err(&fs, &dir).contains("covers only seq 1"));
+    }
+
+    #[test]
+    fn replace_with_snapshot_checks_the_bytes_before_touching_the_directory() {
+        let (source, source_dir) = drained_to_snapshot();
+        let good = source.dump(&snapshot_path(&source_dir)).unwrap();
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("/replica");
+        {
+            let (mut wal, _) =
+                Wal::open_with(&dir, WalConfig::default(), Arc::new(fs.clone()), &NOOP).unwrap();
+            wal.append(&cast("x", "y", Vote::True)).unwrap();
+        }
+        let before: Vec<(String, Option<Vec<u8>>)> = fs
+            .list(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|n| (n.clone(), fs.dump(&dir.join(n))))
+            .collect();
+
+        let mut flipped = good.clone();
+        flipped[HEADER_LEN + 3] ^= 0x01;
+        for bad in [&flipped[..], &good[..good.len() - 1]] {
+            let err = replace_with_snapshot(&fs, &dir, Some(bad)).unwrap_err();
+            assert!(matches!(err, ServeError::WalCorrupt { .. }), "{err}");
+            let after: Vec<(String, Option<Vec<u8>>)> = fs
+                .list(&dir)
+                .unwrap()
+                .into_iter()
+                .map(|n| (n.clone(), fs.dump(&dir.join(n))))
+                .collect();
+            assert_eq!(after, before, "a refused snapshot must leave the directory alone");
+        }
+
+        replace_with_snapshot(&fs, &dir, Some(&good)).unwrap();
+        assert_eq!(fs.list(&dir).unwrap(), vec![SNAPSHOT_FILE.to_string()]);
+        let (_, rec) = Wal::open_with(&dir, WalConfig::default(), Arc::new(fs), &NOOP).unwrap();
+        assert_eq!(rec.next_seq, 6);
+        assert!(rec.dataset.fact_id("f2").is_some() && rec.dataset.fact_id("y").is_none());
     }
 
     #[test]

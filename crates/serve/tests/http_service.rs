@@ -480,3 +480,22 @@ fn keep_alive_serves_multiple_requests_per_connection() {
     }
     handle.shutdown().unwrap();
 }
+
+#[test]
+fn a_trust_path_without_a_source_is_a_404_and_keeps_every_worker() {
+    let config = test_config();
+    let workers = config.workers;
+    let handle = start(config).unwrap();
+    let addr = handle.addr();
+    // No source name between `/v1/sources/` and `/trust`: one request
+    // more than there are workers, so a panicking route would leave no
+    // worker to answer the health check.
+    for _ in 0..=workers {
+        let (status, body) = request(addr, "GET", "/v1/sources/trust", "");
+        assert_eq!(status, 404, "{}", body.to_json());
+    }
+    let (status, health) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+    handle.shutdown().unwrap();
+}

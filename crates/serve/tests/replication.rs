@@ -7,10 +7,14 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use corroborate_obs::Json;
-use corroborate_serve::{replica, start, ReplicaConfig, ServerConfig, WalConfig};
+use corroborate_serve::http::{read_request, read_response, write_request, write_response_headers};
+use corroborate_serve::{
+    replica, start, DeltaDataset, Mutation, ReplicaConfig, ServerConfig, ShipLog, Wal, WalConfig,
+};
 
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {
     let stream = TcpStream::connect(addr).unwrap();
@@ -116,6 +120,19 @@ fn durable_seq(addr: std::net::SocketAddr) -> u64 {
         .unwrap()
 }
 
+/// [`durable_seq`] once it reaches `at_least`. A `202` means the batch is
+/// queued; its WAL append, and so its place in the ship head, follows one
+/// epoch linger later.
+fn durable_seq_at_least(addr: std::net::SocketAddr, at_least: u64) -> u64 {
+    let mut seq = 0;
+    let reached = poll_until(Duration::from_secs(30), || {
+        seq = durable_seq(addr);
+        seq >= at_least
+    });
+    assert!(reached, "primary durable seq stuck at {seq} of {at_least}");
+    seq
+}
+
 #[test]
 fn replica_follows_primary_and_matches_fingerprint_after_drain() {
     let dir = tempdir("follow");
@@ -125,8 +142,7 @@ fn replica_follows_primary_and_matches_fingerprint_after_drain() {
 
     let accepted = write_votes(addr, 0, 40);
     assert_eq!(accepted, 40);
-    let target = durable_seq(addr);
-    assert!(target >= 40);
+    let target = durable_seq_at_least(addr, 40);
 
     // The replica catches up over HTTP and reports in-sync on /cluster.
     assert!(
@@ -188,7 +204,7 @@ fn replica_follows_across_primary_crash_and_restart() {
     let replica = replica::start(replica_config(addr, "restart-1")).unwrap();
 
     write_votes(addr, 0, 24);
-    let first_target = durable_seq(addr);
+    let first_target = durable_seq_at_least(addr, 24);
     assert!(poll_until(Duration::from_secs(30), || replica.applied_seq() >= first_target));
 
     // The primary goes away mid-stream; the replica keeps retrying.
@@ -199,8 +215,7 @@ fn replica_follows_across_primary_crash_and_restart() {
     // left off (the restarted WAL continues the same sequence space).
     let primary = start(config).unwrap();
     write_votes(addr, 24, 24);
-    let target = durable_seq(addr);
-    assert!(target >= first_target + 24);
+    let target = durable_seq_at_least(addr, first_target + 24);
     assert!(
         poll_until(Duration::from_secs(30), || {
             replica.applied_seq() >= target && replica.caught_up()
@@ -265,4 +280,130 @@ fn late_replica_resyncs_from_a_snapshot_past_compacted_history() {
     );
     assert!(resyncs >= 1, "replica should have taken the snapshot path");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `GET` over a fresh connection: status, `Content-Type`, body.
+fn get_raw(addr: std::net::SocketAddr, path: &str) -> (u16, String, Vec<u8>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    write_request(&mut writer, "GET", path, b"", false).unwrap();
+    let response = read_response(&mut BufReader::new(stream), 1 << 20).unwrap();
+    let content_type = response.header("content-type").unwrap_or_default().to_string();
+    (response.status, content_type, response.body)
+}
+
+#[test]
+fn replica_serves_prometheus_metrics_as_text_exposition() {
+    let dir = tempdir("metrics");
+    let primary = start(primary_config(&dir)).unwrap();
+    let replica = replica::start(replica_config(primary.addr(), "metrics-1")).unwrap();
+
+    let (status, content_type, body) = get_raw(replica.addr(), "/metrics");
+    assert_eq!(status, 200);
+    assert_eq!(content_type, "text/plain; version=0.0.4");
+    assert!(body.starts_with(b"# "), "not text exposition");
+    let (status, content_type, _) = get_raw(replica.addr(), "/metrics.json");
+    assert_eq!(status, 200);
+    assert_eq!(content_type, "application/json");
+
+    replica.shutdown().unwrap();
+    primary.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stand-in primary that sends every replica down the resync path —
+/// its tail window and segments both start past the replica — and serves
+/// `snapshot` as the body of `GET /wal/snapshot`.
+fn resync_only_primary(snapshot: Vec<u8>) -> std::net::SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let snapshot = snapshot.clone();
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                while let Ok(request) = read_request(&mut reader, 1 << 20) {
+                    let body = match request.path.as_str() {
+                        "/wal/tail" => br#"{"error":"behind"}"#.to_vec(),
+                        "/wal/segments" => {
+                            br#"{"next_seq":100,"tail_floor_seq":100,"segments":[]}"#.to_vec()
+                        }
+                        "/wal/snapshot" => snapshot.clone(),
+                        _ => b"{}".to_vec(),
+                    };
+                    let status = if request.path == "/wal/tail" { 410 } else { 200 };
+                    let ct = "application/octet-stream";
+                    if write_response_headers(&mut writer, status, ct, &[], &body, true).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// Every file in `dir` with its bytes, sorted by name.
+fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn replica_refuses_a_corrupt_snapshot_and_keeps_its_local_history() {
+    // A real snapshot of a small state, with one bit flipped mid-payload.
+    let source = tempdir("corrupt-source");
+    let mut snapshot = {
+        let (mut wal, _) = Wal::open(&source, WalConfig::default()).unwrap();
+        let ship = Arc::new(ShipLog::new(1 << 20));
+        wal.attach_shipper(Arc::clone(&ship)).unwrap();
+        let mut live = DeltaDataset::new();
+        for m in [
+            Mutation::AddSource { name: "s1".into() },
+            Mutation::AddFact { name: "f1".into(), label: None },
+        ] {
+            wal.append(&m).unwrap();
+            live.apply(&m).unwrap();
+        }
+        wal.compact(&live).unwrap();
+        ship.read_snapshot().expect("a drained primary ships its snapshot")
+    };
+    let mid = snapshot.len() / 2;
+    snapshot[mid] ^= 0x01;
+
+    // The replica's own history: one journalled batch.
+    let local = tempdir("corrupt-local");
+    {
+        let (mut wal, _) = Wal::open(&local, WalConfig::default()).unwrap();
+        wal.append(&Mutation::AddSource { name: "kept".into() }).unwrap();
+    }
+    let before = dir_contents(&local);
+
+    let config = ReplicaConfig {
+        data_dir: Some(local.clone()),
+        ..replica_config(resync_only_primary(snapshot), "corrupt-1")
+    };
+    let replica = replica::start(config).unwrap();
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            replica.last_error().is_some_and(|e| e.contains("snapshot"))
+        }),
+        "corrupt snapshot never reported: {:?}",
+        replica.last_error()
+    );
+    assert_eq!(replica.resyncs(), 0);
+    assert_eq!(replica.applied_seq(), 1, "local history still served");
+    replica.shutdown().unwrap();
+    assert_eq!(dir_contents(&local), before, "a refused snapshot must not touch local history");
+    let _ = std::fs::remove_dir_all(&source);
+    let _ = std::fs::remove_dir_all(&local);
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use corroborate_obs::NOOP;
 use corroborate_serve::{
     evaluate_batch, DeltaDataset, EpochConfig, EpochEngine, EpochMode, FaultFs, Mutation,
-    ReplicaCore, ShipLog, TailResponse, Wal, WalConfig, WalFs,
+    ReplicaCore, ServeError, ShipLog, TailResponse, Wal, WalConfig, WalFs,
 };
 use corroborate_testkit::sim::{generate, standard_archetypes};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -181,6 +181,73 @@ fn crash_matrix_recovers_the_longest_durable_prefix_on_all_archetypes() {
     }
 }
 
+/// Appends `mutations` in chunks over `fs` with frequent compaction —
+/// each background snapshot waited home before the next append — then
+/// drains with a final compaction. Stops at the first error. Returns the
+/// cumulative mutation counts at every acked batch.
+fn compacting_run(fs: &FaultFs, mutations: &[Mutation], config: WalConfig) -> Vec<usize> {
+    let mut acks = vec![0];
+    let Ok((mut wal, _)) = Wal::open_with(Path::new("/wal"), config, Arc::new(fs.clone()), &NOOP)
+    else {
+        return acks;
+    };
+    let mut live = DeltaDataset::new();
+    let mut step = |chunk: &[Mutation], acks: &mut Vec<usize>| -> Result<(), ServeError> {
+        wal.append_batch(chunk)?;
+        acks.push(acks.last().unwrap() + chunk.len());
+        live.apply_all(chunk)?;
+        wal.maybe_compact(&live)?;
+        while wal.compaction_in_flight() {
+            std::thread::yield_now();
+            wal.maybe_compact(&live)?;
+        }
+        Ok(())
+    };
+    for chunk in mutations.chunks(6) {
+        if step(chunk, &mut acks).is_err() {
+            return acks;
+        }
+    }
+    let _ = wal.compact(&live);
+    acks
+}
+
+#[test]
+fn crashes_during_compaction_recover_exactly_the_acked_batches() {
+    // A torn write at every point of a run that seals, snapshots, rewrites
+    // the manifest and finally drains: recovery always succeeds — no
+    // crash point leaves a manifest recording a snapshot that never
+    // landed — and holds exactly the acked batches.
+    let (_, archetype) = &standard_archetypes(53)[0];
+    let world = generate(archetype);
+    let all = DeltaDataset::mutations_of(&world.dataset);
+    let mutations = &all[..all.len().min(96)];
+    let config =
+        WalConfig { compact_after_records: 20, segment_bytes: 512, ..WalConfig::default() };
+    let mut budget = 0u64;
+    loop {
+        let fs = FaultFs::new();
+        fs.set_crash_after_write_bytes(budget);
+        let acks = compacting_run(&fs, mutations, config);
+        let crashed = fs.crashed();
+        fs.reset_faults();
+        let (_, recovery) = Wal::open_with(Path::new("/wal"), config, Arc::new(fs), &NOOP)
+            .unwrap_or_else(|e| panic!("crash after {budget} bytes: recovery failed: {e}"));
+        let recovered = usize::try_from(recovery.next_seq - 1).unwrap();
+        assert_eq!(recovered, *acks.last().unwrap(), "crash after {budget} bytes");
+        assert_eq!(
+            drained_fingerprint(recovery.dataset),
+            prefix_fingerprint(mutations, recovered),
+            "crash after {budget} bytes: recovered state diverges"
+        );
+        if !crashed {
+            break; // the budget outlasted the whole run
+        }
+        budget += 23;
+    }
+    assert!(budget > 1000, "the sweep must cover compactions, not just the first frames");
+}
+
 #[test]
 fn crash_replay_then_drain_matches_batch() {
     // Write an archetype's whole stream to the WAL, "crash" (drop without
@@ -307,7 +374,7 @@ fn replay_then_snapshot_equivalence() {
         }
         assert!(landed, "no snapshot landed");
     }
-    assert!(compact_dir.join("snapshot.json").exists());
+    assert!(compact_dir.join("snapshot.cwb").exists());
 
     let (_, from_raw) = Wal::open(&raw_dir, WalConfig::default()).unwrap();
     let (_, from_compact) = Wal::open(&compact_dir, WalConfig::default()).unwrap();
