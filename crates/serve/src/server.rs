@@ -588,8 +588,9 @@ fn epoch_loop(
     }
 }
 
-/// One iteration of the epoch loop body: journal and apply the batch, then
-/// re-score and publish when there is pending work (or on the final drain).
+/// One iteration of the epoch loop body: journal and apply the batch,
+/// re-score and publish when there is pending work (or on the final drain),
+/// then drive background WAL compaction.
 fn epoch_step(
     engine: &mut EpochEngine,
     mut wal: Option<&mut Wal>,
@@ -632,10 +633,13 @@ fn epoch_step(
             shared.view.publish(view);
         });
         shared.metrics.note_epoch_published();
-        if let Some(wal) = wal {
-            if wal.maybe_compact(engine.delta())? {
-                obs.add(Counter::SnapshotsWritten, 1);
-            }
+    }
+    // Every tick, idle ones too: a background snapshot that finishes after
+    // the last write must land (advance `snapshot_seq`, prune the segments
+    // it covers) without waiting for the next write to arrive.
+    if let Some(wal) = wal {
+        if wal.maybe_compact(engine.delta())? {
+            obs.add(Counter::SnapshotsWritten, 1);
         }
     }
     Ok(())
