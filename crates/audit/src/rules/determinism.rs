@@ -6,7 +6,8 @@
 //! (every selection and probability they emit is fingerprinted by the
 //! conformance oracle), the golden-report differ, the JSON tree and record
 //! types reports are rendered from, the deterministic planted-truth
-//! simulator, and the serve layer's evaluated-state fingerprint.
+//! simulator, and the serve layer's evaluated-state fingerprint and the
+//! copy-on-write state it is computed from.
 
 use crate::rules::Diagnostic;
 use crate::workspace::{SourceFile, Workspace};
@@ -23,6 +24,7 @@ pub const SCOPE: &[&str] = &[
     "crates/obs/src/json.rs",
     "crates/serve/src/epoch.rs",
     "crates/serve/src/delta.rs",
+    "crates/serve/src/cow.rs",
     "crates/serve/src/replica.rs",
     "crates/serve/src/ship.rs",
     "crates/serve/src/cluster.rs",

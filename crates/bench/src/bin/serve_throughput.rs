@@ -10,11 +10,12 @@
 //!    on-disk write-ahead log (1024-mutation frames, 256 KiB segments)
 //!    and replay it cold over parallel segment decode, measuring both
 //!    directions;
-//! 3. **Epoch latency** — incremental re-evaluation of a k-mutation
-//!    delta versus the full-recompute escape hatch, for k ∈ {1, 16, 256}
-//!    (the speedup column is the reason the epoch scheduler exists); at
-//!    8k facts and beyond a regression gate asserts the incremental path
-//!    keeps a ≥10x margin;
+//! 3. **Epoch latency** — incremental re-evaluation of a k-vote delta
+//!    versus the full-recompute escape hatch, for k ∈ {1, 16, 256}, plus
+//!    a delta that registers one new fact with one vote (the shape of a
+//!    probe write); the speedup column is the reason the epoch scheduler
+//!    exists, and at 8k facts and beyond a regression gate asserts every
+//!    row keeps a ≥10x margin;
 //! 4. **End-to-end HTTP** — boot the server on an ephemeral port and
 //!    pump vote batches over keep-alive connections from concurrent
 //!    clients, counting accepted mutations per second and 429 retries.
@@ -50,7 +51,21 @@ use corroborate_serve::{
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const SIZES: [usize; 3] = [2_000, 8_000, 20_000];
-const DELTA_SIZES: [usize; 3] = [1, 16, 256];
+
+/// One epoch-latency delta: `votes` random votes on known names, plus one
+/// never-seen fact carrying the last of them when `new_fact` is set.
+#[derive(Debug, Clone, Copy)]
+struct DeltaShape {
+    votes: usize,
+    new_fact: bool,
+}
+
+const DELTAS: [DeltaShape; 4] = [
+    DeltaShape { votes: 1, new_fact: false },
+    DeltaShape { votes: 16, new_fact: false },
+    DeltaShape { votes: 256, new_fact: false },
+    DeltaShape { votes: 1, new_fact: true },
+];
 
 fn world_mutations(n_facts: usize) -> Vec<Mutation> {
     let cfg = SyntheticConfig { n_accurate: 8, n_inaccurate: 2, n_facts, eta: 0.02, seed: 42 };
@@ -76,6 +91,21 @@ fn random_cast(delta: &DeltaDataset, rng: &mut StdRng) -> Mutation {
     Mutation::Cast { source, fact, vote }
 }
 
+/// The mutations of one `shape` delta against the engine's current state.
+/// A new fact is registered and then voted on by an existing source, the
+/// way a probe write registers its fact.
+fn delta_of(shape: DeltaShape, delta: &DeltaDataset, rng: &mut StdRng) -> Vec<Mutation> {
+    let mut out: Vec<Mutation> = (0..shape.votes).map(|_| random_cast(delta, rng)).collect();
+    if shape.new_fact {
+        let name = format!("new-fact-{}", delta.n_facts());
+        if let Some(Mutation::Cast { fact, .. }) = out.last_mut() {
+            fact.clone_from(&name);
+        }
+        out.insert(0, Mutation::AddFact { name, label: None });
+    }
+    out
+}
+
 // --- section 1+2: streaming ingest and WAL, per world size --------------
 
 fn bench_ingest(rep: &mut Reporter, n_facts: usize) -> Json {
@@ -95,7 +125,7 @@ fn bench_ingest(rep: &mut Reporter, n_facts: usize) -> Json {
     let epoch_start = Instant::now();
     let (view, stats) = engine.drain().expect("drain");
     let full_epoch_s = epoch_start.elapsed().as_secs_f64();
-    std::hint::black_box(view.probabilities().len());
+    std::hint::black_box(view.probabilities().count());
 
     // WAL group commit (buffered, no fsync — the default): the stream in
     // 1024-mutation frames over 256 KiB segments, then a cold replay that
@@ -152,15 +182,13 @@ fn bench_epoch_latency(rep: &mut Reporter, n_facts: usize, reps: usize) -> Json 
     let mut rng = StdRng::seed_from_u64(7);
 
     let mut rows = Vec::new();
-    for &k in &DELTA_SIZES {
+    for shape in DELTAS {
         let mut best_incremental = f64::INFINITY;
         let mut best_full = f64::INFINITY;
         let mut rescored = 0;
         for _ in 0..reps {
-            // Incremental: k dirty votes scored under the cached trust.
-            let delta: Vec<Mutation> =
-                (0..k).map(|_| random_cast(engine.delta(), &mut rng)).collect();
-            for m in &delta {
+            // Incremental: the delta scored under the cached trust.
+            for m in &delta_of(shape, engine.delta(), &mut rng) {
                 engine.apply(m).expect("apply");
             }
             let t = Instant::now();
@@ -170,9 +198,7 @@ fn bench_epoch_latency(rep: &mut Reporter, n_facts: usize, reps: usize) -> Json 
             std::hint::black_box(view.epoch());
 
             // Full: the same delta shape through the escape hatch.
-            let delta: Vec<Mutation> =
-                (0..k).map(|_| random_cast(engine.delta(), &mut rng)).collect();
-            for m in &delta {
+            for m in &delta_of(shape, engine.delta(), &mut rng) {
                 engine.apply(m).expect("apply");
             }
             let t = Instant::now();
@@ -181,25 +207,28 @@ fn bench_epoch_latency(rep: &mut Reporter, n_facts: usize, reps: usize) -> Json 
             std::hint::black_box(view.epoch());
         }
         let speedup = best_full / best_incremental;
+        let k = shape.votes;
+        let label = if shape.new_fact { "votes + new fact" } else { "votes" };
         // Regression gate: at scale the incremental path must keep a wide
-        // margin over the escape hatch — cached-dataset reuse makes a
-        // small-delta epoch O(k), not O(dataset), and this is where that
-        // claim is enforced.
+        // margin over the escape hatch — a small-delta epoch is O(k), not
+        // O(dataset), whether or not it registers a name, and this is where
+        // that claim is enforced.
         if n_facts >= 8_000 {
             assert!(
                 speedup >= 10.0,
-                "epoch latency regression: {k}-vote delta at {n_facts} facts is only \
+                "epoch latency regression: {k}-{label} delta at {n_facts} facts is only \
                  {speedup:.1}x faster incrementally (gate: 10x)"
             );
         }
         rep.say(format!(
-            "  delta of {k:>3} votes: incremental {:>10.1}µs | full {:>10.1}ms | {speedup:>7.0}x \
-             ({rescored} facts rescored)",
+            "  delta of {k:>3} {label:<16}: incremental {:>10.1}µs | full {:>10.1}ms | \
+             {speedup:>7.0}x ({rescored} facts rescored)",
             best_incremental * 1e6,
             best_full * 1e3,
         ));
         let mut row = Json::object();
         row.insert("delta_votes", k as i64);
+        row.insert("new_facts", i64::from(shape.new_fact));
         row.insert("incremental_s", best_incremental);
         row.insert("full_s", best_full);
         row.insert("speedup", speedup);

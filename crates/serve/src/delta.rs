@@ -3,23 +3,45 @@
 //! [`DeltaDataset`] is the mutable, name-keyed twin of the immutable
 //! [`Dataset`]: it accepts incremental [`Mutation`]s (register a source,
 //! register a fact, cast or override a vote), maintains per-fact vote
-//! signatures and signature-group membership incrementally, and tracks
-//! which facts — and therefore which signature groups — were invalidated
-//! since the last epoch. Materialising a [`Dataset`] snapshot is a pure
-//! function of the accumulated state, so any interleaving of the same
-//! mutations produces a bit-identical snapshot (the property the
-//! streamed-vs-batch differential gate certifies).
+//! signatures incrementally, and tracks which facts — and therefore which
+//! signature groups — were invalidated since the last epoch. Materialising
+//! a [`Dataset`] snapshot is a pure function of the accumulated state, so
+//! any interleaving of the same mutations produces a bit-identical
+//! snapshot (the property the streamed-vs-batch differential gate
+//! certifies).
+//!
+//! The state is copy-on-write: names, labels and signatures live in
+//! chunked columns and the two name maps in hash-sharded maps (see
+//! `cow.rs`), so `clone()` costs O(facts / chunk + shards) and a mutation
+//! after a clone copies at most one chunk or shard per column or map. That
+//! is what lets every epoch publish the state it evaluated as a clone
+//! instead of a materialised [`Dataset`].
 //!
 //! Ids are append-only: a source or fact, once registered, keeps its id for
 //! the lifetime of the stream, which is what lets epoch evaluation carry
 //! per-fact verdicts forward across snapshots.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use corroborate_core::prelude::*;
 
+use crate::cow::{CowMap, CowVec};
 use crate::ServeError;
+
+/// A fact's vote signature: `(source, vote)` sorted by source id.
+type Signature = Arc<[(usize, Vote)]>;
+
+/// The one empty signature every newly registered fact starts with,
+/// shared so a registration allocates nothing for it.
+#[derive(Debug, Clone)]
+struct EmptySignature(Signature);
+
+impl Default for EmptySignature {
+    fn default() -> Self {
+        Self(Arc::from([]))
+    }
+}
 
 /// One streaming mutation, name-keyed so producers never deal in ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,23 +87,50 @@ pub struct ApplyOutcome {
 /// The mutable accumulation of a corroboration stream.
 #[derive(Debug, Default, Clone)]
 pub struct DeltaDataset {
-    source_ids: HashMap<String, usize>,
-    source_names: Vec<String>,
-    fact_ids: HashMap<String, usize>,
-    fact_names: Vec<String>,
-    truth: Vec<Option<Label>>,
+    source_ids: CowMap,
+    source_names: CowVec<Arc<str>>,
+    fact_ids: CowMap,
+    fact_names: CowVec<Arc<str>>,
+    truth: CowVec<Option<Label>>,
     /// Per-fact signature: `(source, vote)` sorted by source id — exactly
     /// the shape `VoteMatrix::signature` exposes after a batch build.
-    signatures: Vec<Vec<(usize, Vote)>>,
-    /// Facts whose signature changed since the last [`Self::take_dirty`].
-    dirty: HashSet<usize>,
+    signatures: CowVec<Signature>,
+    /// Facts whose signature changed since the last [`Self::take_dirty`],
+    /// in the order they were first dirtied.
+    dirty: Vec<usize>,
+    /// One bit per fact id up to the highest dirty one: whether the fact
+    /// is in `dirty`. Emptied by [`Self::take_dirty`].
+    dirty_bits: Vec<u64>,
     n_votes: usize,
+    empty_signature: EmptySignature,
 }
 
 impl DeltaDataset {
     /// An empty stream.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The clean stream state of a batch [`Dataset`]: the same names,
+    /// labels and votes under the same ids, nothing dirty.
+    pub(crate) fn from_dataset(dataset: &Dataset) -> Self {
+        let mut out = Self::new();
+        for s in dataset.sources() {
+            let name: Arc<str> = Arc::from(dataset.source_name(s));
+            out.source_ids.insert(Arc::clone(&name), s.index());
+            out.source_names.push(name);
+        }
+        let truth = dataset.ground_truth();
+        for f in dataset.facts() {
+            let name: Arc<str> = Arc::from(dataset.fact_name(f));
+            out.fact_ids.insert(Arc::clone(&name), f.index());
+            out.fact_names.push(name);
+            out.truth.push(truth.map(|t| t.label(f)));
+            let votes = dataset.votes().votes_on(f);
+            out.signatures.push(votes.iter().map(|sv| (sv.source.index(), sv.vote)).collect());
+            out.n_votes += votes.len();
+        }
+        out
     }
 
     /// Number of registered sources.
@@ -101,12 +150,12 @@ impl DeltaDataset {
 
     /// Id of `name`, if registered.
     pub fn source_id(&self, name: &str) -> Option<SourceId> {
-        self.source_ids.get(name).map(|&i| SourceId::new(i))
+        self.source_ids.get(name).map(SourceId::new)
     }
 
     /// Id of `name`, if registered.
     pub fn fact_id(&self, name: &str) -> Option<FactId> {
-        self.fact_ids.get(name).map(|&i| FactId::new(i))
+        self.fact_ids.get(name).map(FactId::new)
     }
 
     /// Name of fact `id` (panics when out of range).
@@ -138,51 +187,56 @@ impl DeltaDataset {
     /// facts: facts sharing a (current) signature re-evaluate as one group,
     /// so this is the unit the epoch scheduler reasons in.
     pub fn dirty_group_count(&self) -> usize {
-        let mut seen: HashSet<&[(usize, Vote)]> = HashSet::with_capacity(self.dirty.len());
-        for &f in &self.dirty {
-            seen.insert(self.signatures[f].as_slice());
-        }
+        let seen: BTreeSet<&[(usize, Vote)]> =
+            self.dirty.iter().map(|&f| &*self.signatures[f]).collect();
         seen.len()
     }
 
     /// Drains the dirty set, returning the invalidated facts sorted by id.
     pub fn take_dirty(&mut self) -> Vec<FactId> {
-        let mut out: Vec<FactId> = self.dirty.drain().map(FactId::new).collect();
+        self.dirty_bits.clear();
+        let mut out: Vec<FactId> = self.dirty.drain(..).map(FactId::new).collect();
         out.sort_unstable();
         out
     }
 
-    fn register_source(&mut self, name: &str) -> (usize, bool) {
-        match self.source_ids.entry(name.to_string()) {
-            Entry::Occupied(e) => (*e.get(), false),
-            Entry::Vacant(e) => {
-                let id = self.source_names.len();
-                e.insert(id);
-                self.source_names.push(name.to_string());
-                (id, true)
-            }
+    fn mark_dirty(&mut self, fact: usize) {
+        let (word, bit) = (fact / 64, 1u64 << (fact % 64));
+        if word >= self.dirty_bits.len() {
+            self.dirty_bits.resize(word + 1, 0);
+        }
+        if self.dirty_bits[word] & bit == 0 {
+            self.dirty_bits[word] |= bit;
+            self.dirty.push(fact);
         }
     }
 
-    fn register_fact(&mut self, name: &str, label: Option<Label>) -> (usize, bool) {
-        match self.fact_ids.entry(name.to_string()) {
-            Entry::Occupied(e) => {
-                let id = *e.get();
-                if self.truth[id].is_none() {
-                    self.truth[id] = label;
-                }
-                (id, false)
-            }
-            Entry::Vacant(e) => {
-                let id = self.fact_names.len();
-                e.insert(id);
-                self.fact_names.push(name.to_string());
-                self.truth.push(label);
-                self.signatures.push(Vec::new());
-                self.dirty.insert(id);
-                (id, true)
-            }
+    fn register_source(&mut self, name: &str) -> (usize, bool) {
+        if let Some(id) = self.source_ids.get(name) {
+            return (id, false);
         }
+        let id = self.source_names.len();
+        let name: Arc<str> = Arc::from(name);
+        self.source_ids.insert(Arc::clone(&name), id);
+        self.source_names.push(name);
+        (id, true)
+    }
+
+    fn register_fact(&mut self, name: &str, label: Option<Label>) -> (usize, bool) {
+        if let Some(id) = self.fact_ids.get(name) {
+            if label.is_some() && self.truth[id].is_none() {
+                *self.truth.get_mut(id) = label;
+            }
+            return (id, false);
+        }
+        let id = self.fact_names.len();
+        let name: Arc<str> = Arc::from(name);
+        self.fact_ids.insert(Arc::clone(&name), id);
+        self.fact_names.push(name);
+        self.truth.push(label);
+        self.signatures.push(Arc::clone(&self.empty_signature.0));
+        self.mark_dirty(id);
+        (id, true)
     }
 
     /// Applies one mutation, updating signatures and dirty tracking.
@@ -219,22 +273,28 @@ impl DeltaDataset {
                 let (f, new_fact) = self.register_fact(fact, None);
                 outcome.new_source = new_source;
                 outcome.new_fact = new_fact;
-                let sig = &mut self.signatures[f];
+                let sig = &self.signatures[f];
                 match sig.binary_search_by_key(&s, |&(src, _)| src) {
                     Ok(pos) => {
                         if sig[pos].1 != *vote {
-                            sig[pos].1 = *vote;
+                            Arc::make_mut(self.signatures.get_mut(f))[pos].1 = *vote;
                             outcome.signature_changed = true;
                         }
                     }
                     Err(pos) => {
-                        sig.insert(pos, (s, *vote));
+                        let grown: Signature = sig[..pos]
+                            .iter()
+                            .copied()
+                            .chain(std::iter::once((s, *vote)))
+                            .chain(sig[pos..].iter().copied())
+                            .collect();
+                        *self.signatures.get_mut(f) = grown;
                         self.n_votes += 1;
                         outcome.signature_changed = true;
                     }
                 }
                 if outcome.signature_changed {
-                    self.dirty.insert(f);
+                    self.mark_dirty(f);
                 }
             }
         }
@@ -269,20 +329,20 @@ impl DeltaDataset {
     /// range by this type).
     pub fn materialize(&self) -> Result<Dataset, ServeError> {
         let mut b = DatasetBuilder::new();
-        for name in &self.source_names {
-            b.add_source(name.clone());
+        for name in self.source_names.iter() {
+            b.add_source(&**name);
         }
         let fact_ids: Vec<FactId> = self
             .fact_names
             .iter()
-            .zip(&self.truth)
+            .zip(self.truth.iter())
             .map(|(name, label)| match label {
-                Some(l) => b.add_fact_with_truth(name.clone(), *l),
-                None => b.add_fact(name.clone()),
+                Some(l) => b.add_fact_with_truth(&**name, *l),
+                None => b.add_fact(&**name),
             })
             .collect();
         for (f, sig) in self.signatures.iter().enumerate() {
-            for &(s, vote) in sig {
+            for &(s, vote) in sig.iter() {
                 b.cast(SourceId::new(s), fact_ids[f], vote)?;
             }
         }

@@ -6,17 +6,14 @@
 //!
 //! - **Incremental** — re-score only the *invalidated* facts (those whose
 //!   vote signature changed since the last epoch) with the Corrob rule
-//!   under the trust snapshot cached from the last full recompute.
-//!   O(invalidated votes); the verdicts are exact Corrob scores but the
-//!   trust snapshot is *stale* — it has not absorbed the new evidence.
-//!   Facts scored this way are flagged [`VerdictView::is_stale`].
-//!   Dirty facts sharing one signature group are scored once and the
-//!   result scattered to every member, and when the epoch registered no
-//!   new facts or sources the previous epoch's materialised [`Dataset`]
-//!   and name indexes are republished as-is instead of being rebuilt —
-//!   the vote lists in [`VerdictView::dataset`] then lag until the next
-//!   materialising epoch, an extension of the same staleness contract
-//!   the flag already documents. Probabilities and verdicts never lag.
+//!   under the trust snapshot cached from the last full recompute. The
+//!   verdicts are exact Corrob scores but the trust snapshot is *stale* —
+//!   it has not absorbed the new evidence. Facts scored this way are
+//!   flagged [`VerdictView::is_stale`]. Dirty facts sharing one signature
+//!   group are scored once and the result scattered to every member. The
+//!   epoch costs O(dirty facts + touched chunks) whether or not it
+//!   registered new facts or sources: it publishes a copy-on-write clone
+//!   of the engine's state and never materialises a [`Dataset`].
 //! - **Full** — materialise the accumulated [`DeltaDataset`] and re-run
 //!   the complete multi-round IncEstimate evaluation (IncEstHeu
 //!   strategy). Exact but O(dataset); refreshes the cached trust snapshot
@@ -30,13 +27,18 @@
 //!
 //! Each epoch publishes an immutable [`VerdictView`] through
 //! [`Published`]: readers grab an `Arc` under a read lock held only for
-//! the pointer clone, so queries never wait on evaluation. A drained
-//! engine (final full epoch, empty queue) produces a view bit-identical
-//! to a one-shot batch run over the same data — the property the
-//! differential test suite certifies via [`VerdictView::fingerprint`].
+//! the pointer clone, so queries never wait on evaluation. A view holds
+//! the stream state its epoch evaluated, so its name lookups and vote
+//! lists are exact at every epoch — they never lag the probabilities.
+//! [`VerdictView::dataset`] materialises a batch [`Dataset`] on first use;
+//! full epochs and [`evaluate_batch`] hand over the one they evaluated. A
+//! drained engine (final full epoch, empty queue) produces a view
+//! bit-identical to a one-shot batch run over the same data — the property
+//! the differential test suite certifies via [`VerdictView::fingerprint`].
 
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::collections::BTreeMap;
+use std::iter::repeat_n;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use corroborate_algorithms::inc::{map_indexed, IncEstHeu, IncEstimateConfig, IncEstimateSession};
 use corroborate_core::prelude::*;
@@ -44,6 +46,7 @@ use corroborate_core::scoring::corrob_probability_or;
 use corroborate_core::shard::signature_shard;
 use corroborate_core::vote::SourceVote;
 
+use crate::cow::CowVec;
 use crate::delta::{ApplyOutcome, DeltaDataset, Mutation};
 use crate::ServeError;
 
@@ -107,41 +110,42 @@ pub struct EpochStats {
 pub struct VerdictView {
     epoch: u64,
     full: bool,
-    dataset: Arc<Dataset>,
-    probabilities: Vec<f64>,
+    /// The stream state this epoch evaluated: a copy-on-write clone of
+    /// the engine's, sharing every chunk and shard the engine has not
+    /// written since.
+    delta: DeltaDataset,
+    /// `delta` materialised on first use; full epochs and
+    /// [`evaluate_batch`] fill it with the dataset they evaluated.
+    dataset: OnceLock<Arc<Dataset>>,
+    probabilities: CowVec<f64>,
     /// Per-fact: scored incrementally since the last full recompute.
-    stale: Vec<bool>,
+    stale: CowVec<bool>,
+    /// Facts whose `stale` flag is set.
+    stale_count: usize,
     trust: TrustSnapshot,
     rounds: usize,
-    /// Shared with the engine's epoch cache: incremental epochs that
-    /// register no new names republish the same maps.
-    fact_index: Arc<HashMap<String, usize>>,
-    source_index: Arc<HashMap<String, usize>>,
+    /// What [`Self::dataset`] serves should materialising `delta` ever
+    /// fail — the builder cannot refuse the in-range ids a delta holds,
+    /// and a read path must not panic.
+    empty: Arc<Dataset>,
 }
 
 impl VerdictView {
-    fn index(dataset: &Dataset) -> (HashMap<String, usize>, HashMap<String, usize>) {
-        let facts =
-            dataset.facts().map(|f| (dataset.fact_name(f).to_string(), f.index())).collect();
-        let sources =
-            dataset.sources().map(|s| (dataset.source_name(s).to_string(), s.index())).collect();
-        (facts, sources)
-    }
-
     /// An empty view (epoch 0, before any data).
     pub fn empty(config: &EpochConfig) -> Result<Self, ServeError> {
-        let dataset = DeltaDataset::new().materialize()?;
+        let empty = Arc::new(DeltaDataset::new().materialize()?);
         Ok(Self {
             epoch: 0,
             full: true,
-            dataset: Arc::new(dataset),
-            probabilities: Vec::new(),
-            stale: Vec::new(),
+            delta: DeltaDataset::new(),
+            dataset: OnceLock::from(Arc::clone(&empty)),
+            probabilities: CowVec::default(),
+            stale: CowVec::default(),
+            stale_count: 0,
             trust: TrustSnapshot::uniform(0, config.engine.initial_trust)
                 .map_err(ServeError::Core)?,
             rounds: 0,
-            fact_index: Arc::new(HashMap::new()),
-            source_index: Arc::new(HashMap::new()),
+            empty,
         })
     }
 
@@ -155,13 +159,19 @@ impl VerdictView {
         self.full
     }
 
-    /// The dataset snapshot the verdicts were computed over. After an
-    /// incremental epoch that registered no new facts or sources, this is
-    /// the previous epoch's materialisation — its *vote lists* may lag the
-    /// probabilities (which never lag) until the next materialising epoch;
-    /// the affected facts carry [`Self::is_stale`].
+    /// The stream state the verdicts were computed over: names, labels
+    /// and every fact's current votes ([`DeltaDataset::signature`]).
+    pub fn delta(&self) -> &DeltaDataset {
+        &self.delta
+    }
+
+    /// The verdicts' state as a batch [`Dataset`]. Materialised on the
+    /// first call (O(dataset)) and kept; a full epoch's view comes with
+    /// the dataset it evaluated already in place.
     pub fn dataset(&self) -> &Arc<Dataset> {
-        &self.dataset
+        self.dataset.get_or_init(|| {
+            self.delta.materialize().map_or_else(|_| Arc::clone(&self.empty), Arc::new)
+        })
     }
 
     /// IncEstimate rounds of the last full recompute.
@@ -169,9 +179,9 @@ impl VerdictView {
         self.rounds
     }
 
-    /// Per-fact probabilities, indexed by fact id.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.probabilities
+    /// Per-fact probabilities in fact-id order.
+    pub fn probabilities(&self) -> impl Iterator<Item = f64> + '_ {
+        self.probabilities.iter().copied()
     }
 
     /// Probability of `fact`.
@@ -187,7 +197,7 @@ impl VerdictView {
 
     /// Facts currently carrying the stale flag.
     pub fn stale_count(&self) -> usize {
-        self.stale.iter().filter(|&&s| s).count()
+        self.stale_count
     }
 
     /// The trust snapshot verdicts were priced under.
@@ -197,12 +207,12 @@ impl VerdictView {
 
     /// Looks a fact up by name.
     pub fn fact_by_name(&self, name: &str) -> Option<FactId> {
-        self.fact_index.get(name).map(|&i| FactId::new(i))
+        self.delta.fact_id(name)
     }
 
     /// Looks a source up by name.
     pub fn source_by_name(&self, name: &str) -> Option<SourceId> {
-        self.source_index.get(name).map(|&i| SourceId::new(i))
+        self.delta.source_id(name)
     }
 
     /// FNV-1a digest of the evaluated state: source names and trust bits,
@@ -218,17 +228,17 @@ impl VerdictView {
                 hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             }
         };
-        eat(&(self.dataset.n_sources() as u64).to_le_bytes());
-        for s in self.dataset.sources() {
-            eat(self.dataset.source_name(s).as_bytes());
+        eat(&(self.delta.n_sources() as u64).to_le_bytes());
+        for s in (0..self.delta.n_sources()).map(SourceId::new) {
+            eat(self.delta.source_name(s).as_bytes());
             eat(&[0]);
             eat(&self.trust.trust(s).to_bits().to_le_bytes());
         }
-        eat(&(self.dataset.n_facts() as u64).to_le_bytes());
-        for f in self.dataset.facts() {
-            eat(self.dataset.fact_name(f).as_bytes());
+        eat(&(self.delta.n_facts() as u64).to_le_bytes());
+        for (f, p) in (0..self.delta.n_facts()).map(FactId::new).zip(self.probabilities()) {
+            eat(self.delta.fact_name(f).as_bytes());
             eat(&[0]);
-            eat(&self.probabilities[f.index()].to_bits().to_le_bytes());
+            eat(&p.to_bits().to_le_bytes());
         }
         eat(&(self.rounds as u64).to_le_bytes());
         hash
@@ -258,23 +268,16 @@ impl<T> Published<T> {
         Arc::clone(&self.slot.read().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
-    /// Atomically replaces the value.
+    /// Atomically replaces the value. The replaced `Arc` is dropped after
+    /// the write lock is released: freeing the last reference to a large
+    /// value must not stall every reader's [`Self::get`].
     pub fn publish(&self, value: Arc<T>) {
-        *self.slot.write().unwrap_or_else(std::sync::PoisonError::into_inner) = value;
+        let replaced = std::mem::replace(
+            &mut *self.slot.write().unwrap_or_else(std::sync::PoisonError::into_inner),
+            value,
+        );
+        drop(replaced);
     }
-}
-
-/// The last materialised dataset and its name indexes, shared between the
-/// engine and the views it publishes. Incremental epochs that register no
-/// new names republish these `Arc`s untouched — the O(dataset) cost of
-/// materialising and re-indexing is paid only when names changed or trust was
-/// refreshed, which is what keeps small-delta epoch latency flat as the
-/// dataset grows.
-#[derive(Debug)]
-struct CachedEpoch {
-    dataset: Arc<Dataset>,
-    fact_index: Arc<HashMap<String, usize>>,
-    source_index: Arc<HashMap<String, usize>>,
 }
 
 /// The single-writer evaluation engine behind the service.
@@ -283,19 +286,21 @@ pub struct EpochEngine {
     delta: DeltaDataset,
     config: EpochConfig,
     epoch: u64,
-    /// See [`CachedEpoch`]; `None` until the first epoch runs.
-    cached: Option<CachedEpoch>,
     /// Trust snapshot cached from the last full recompute; prices
     /// incremental epochs. Sources registered since extend at
     /// `initial_trust`.
     trust: TrustSnapshot,
     /// Per-fact probabilities carried across epochs (ids are append-only).
-    probs: Vec<f64>,
-    stale: Vec<bool>,
+    probs: CowVec<f64>,
+    stale: CowVec<bool>,
+    /// Facts whose `stale` flag is set.
+    stale_count: usize,
     rounds: usize,
     /// Set until the first full recompute (boot, or WAL recovery — cached
     /// trust is not persisted, so nothing incremental can be trusted yet).
     needs_full: bool,
+    /// Every view's [`VerdictView::dataset`] fallback, built once.
+    empty: Arc<Dataset>,
 }
 
 impl EpochEngine {
@@ -315,12 +320,13 @@ impl EpochEngine {
             delta,
             config,
             epoch: 0,
-            cached: None,
             trust,
-            probs: vec![config.engine.voteless_prior; n_facts],
-            stale: vec![true; n_facts],
+            probs: repeat_n(config.engine.voteless_prior, n_facts).collect(),
+            stale: repeat_n(true, n_facts).collect(),
+            stale_count: n_facts,
             rounds: 0,
             needs_full: true,
+            empty: Arc::new(DeltaDataset::new().materialize()?),
         })
     }
 
@@ -376,9 +382,12 @@ impl EpochEngine {
         };
 
         let dirty = self.delta.take_dirty();
-        // Grow the carried vectors for facts registered this epoch.
-        self.probs.resize(n_facts, self.config.engine.voteless_prior);
-        self.stale.resize(n_facts, true);
+        // Grow the carried columns for facts registered this epoch; they
+        // start stale.
+        let grown = n_facts - self.probs.len();
+        self.probs.extend(repeat_n(self.config.engine.voteless_prior, grown));
+        self.stale.extend(repeat_n(true, grown));
+        self.stale_count += grown;
         if self.delta.n_sources() > self.trust.n_sources() {
             let mut grown =
                 TrustSnapshot::uniform(self.delta.n_sources(), self.config.engine.initial_trust)
@@ -389,45 +398,24 @@ impl EpochEngine {
             self.trust = grown;
         }
 
-        // Incremental epochs that registered no new names republish the
-        // cached dataset and indexes untouched: materialise + re-index is
-        // O(dataset) and would swamp a small rescore. Vote lists inside the
-        // republished dataset may then lag behind the stream (an extension
-        // of the documented staleness contract); names, trust, and
-        // probabilities — everything the fingerprint hashes — never lag.
-        let cached = match self.cached.take() {
-            Some(c)
-                if !full
-                    && c.dataset.n_facts() == n_facts
-                    && c.dataset.n_sources() == self.delta.n_sources() =>
-            {
-                c
-            }
-            _ => {
-                let dataset = Arc::new(self.delta.materialize()?);
-                let (fact_index, source_index) = VerdictView::index(&dataset);
-                CachedEpoch {
-                    dataset,
-                    fact_index: Arc::new(fact_index),
-                    source_index: Arc::new(source_index),
-                }
-            }
-        };
-        let dataset = Arc::clone(&cached.dataset);
+        let mut dataset = OnceLock::new();
         let facts_rescored;
         let mut shards_scanned = 0;
         if full {
+            let materialized = Arc::new(self.delta.materialize()?);
             let result =
-                IncEstimateSession::new(&dataset, IncEstHeu::default(), self.config.engine)
+                IncEstimateSession::new(&materialized, IncEstHeu::default(), self.config.engine)
                     .map_err(ServeError::Core)?
                     .finish()
                     .map_err(ServeError::Core)?;
-            facts_rescored = dataset.n_facts();
-            self.probs.copy_from_slice(result.probabilities());
+            facts_rescored = n_facts;
+            self.probs = result.probabilities().iter().copied().collect();
             self.trust = result.trust().clone();
             self.rounds = result.rounds();
-            self.stale.fill(false);
+            self.stale = repeat_n(false, n_facts).collect();
+            self.stale_count = 0;
             self.needs_full = false;
+            dataset = OnceLock::from(materialized);
         } else {
             // Exact Corrob scores under the cached (stale) trust snapshot,
             // sharded by the same stable signature hash the engine core
@@ -444,7 +432,7 @@ impl EpochEngine {
             // scattered to every member. The dedup map is lookup-only;
             // `uniq` keeps first-seen order, so scoring order — and hence
             // the published bits — match the undeduped per-fact loop.
-            let mut seen: HashMap<&[(usize, Vote)], usize> = HashMap::new();
+            let mut seen: BTreeMap<&[(usize, Vote)], usize> = BTreeMap::new();
             let mut signatures: Vec<Vec<SourceVote>> = Vec::new();
             let mut group_of: Vec<usize> = Vec::with_capacity(dirty.len());
             for &f in &dirty {
@@ -490,8 +478,11 @@ impl EpochEngine {
                 }
             }
             for (&f, &k) in dirty.iter().zip(&group_of) {
-                self.probs[f.index()] = sig_score[k];
-                self.stale[f.index()] = true;
+                *self.probs.get_mut(f.index()) = sig_score[k];
+                if !self.stale[f.index()] {
+                    *self.stale.get_mut(f.index()) = true;
+                    self.stale_count += 1;
+                }
             }
         }
 
@@ -499,15 +490,15 @@ impl EpochEngine {
         let view = Arc::new(VerdictView {
             epoch: self.epoch,
             full,
+            delta: self.delta.clone(),
             dataset,
             probabilities: self.probs.clone(),
             stale: self.stale.clone(),
+            stale_count: self.stale_count,
             trust: self.trust.clone(),
             rounds: self.rounds,
-            fact_index: Arc::clone(&cached.fact_index),
-            source_index: Arc::clone(&cached.source_index),
+            empty: Arc::clone(&self.empty),
         });
-        self.cached = Some(cached);
         let stats = EpochStats {
             epoch: self.epoch,
             full,
@@ -536,21 +527,25 @@ impl EpochEngine {
 /// Engine-configuration failures.
 pub fn evaluate_batch(dataset: Dataset, config: &EpochConfig) -> Result<VerdictView, ServeError> {
     let dataset = Arc::new(dataset);
+    // Built before the engine runs, so the view's long-lived allocations
+    // sit below the engine's short-lived ones and freeing those can return
+    // memory to the OS.
+    let delta = DeltaDataset::from_dataset(&dataset);
     let result = IncEstimateSession::new(&dataset, IncEstHeu::default(), config.engine)
         .map_err(ServeError::Core)?
         .finish()
         .map_err(ServeError::Core)?;
-    let (fact_index, source_index) = VerdictView::index(&dataset);
     Ok(VerdictView {
         epoch: 1,
         full: true,
-        stale: vec![false; dataset.n_facts()],
-        probabilities: result.probabilities().to_vec(),
+        delta,
+        stale: repeat_n(false, dataset.n_facts()).collect(),
+        stale_count: 0,
+        probabilities: result.probabilities().iter().copied().collect(),
         trust: result.trust().clone(),
         rounds: result.rounds(),
-        dataset,
-        fact_index: Arc::new(fact_index),
-        source_index: Arc::new(source_index),
+        dataset: OnceLock::from(dataset),
+        empty: Arc::new(DeltaDataset::new().materialize()?),
     })
 }
 
@@ -647,7 +642,7 @@ mod tests {
         let batch = evaluate_batch(batch_delta.materialize().unwrap(), &config).unwrap();
 
         assert_eq!(view.fingerprint(), batch.fingerprint());
-        assert_eq!(view.probabilities(), batch.probabilities());
+        assert!(view.probabilities().eq(batch.probabilities()));
         assert_eq!(view.trust().values(), batch.trust().values());
     }
 
@@ -662,7 +657,7 @@ mod tests {
         assert_eq!(e.pending(), 0);
         let (view, stats) = e.run_epoch(EpochMode::Auto).unwrap();
         assert!(stats.full, "recovered state must not trust a missing snapshot");
-        assert_eq!(view.probabilities().len(), 3);
+        assert_eq!(view.probabilities().count(), 3);
     }
 
     #[test]
@@ -677,10 +672,92 @@ mod tests {
     }
 
     #[test]
+    fn publish_drops_the_replaced_value_outside_the_lock() {
+        use std::sync::mpsc::{sync_channel, SyncSender};
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        /// Announces its drop, then blocks in it until released.
+        struct SlowDrop(Option<(SyncSender<()>, Arc<Barrier>)>);
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                if let Some((entered, release)) = self.0.take() {
+                    let _ = entered.send(());
+                    release.wait();
+                }
+            }
+        }
+
+        let (entered_tx, entered_rx) = sync_channel(1);
+        let release = Arc::new(Barrier::new(2));
+        let published =
+            Arc::new(Published::new(SlowDrop(Some((entered_tx, Arc::clone(&release))))));
+        let publisher = {
+            let published = Arc::clone(&published);
+            std::thread::spawn(move || published.publish(Arc::new(SlowDrop(None))))
+        };
+        entered_rx.recv_timeout(Duration::from_secs(10)).expect("publish drops the old value");
+        // The replaced value's drop is blocked inside `publish` now.
+        let (read_tx, read_rx) = sync_channel(1);
+        let reader = {
+            let published = Arc::clone(&published);
+            std::thread::spawn(move || {
+                drop(published.get());
+                let _ = read_tx.send(());
+            })
+        };
+        let read = read_rx.recv_timeout(Duration::from_secs(5));
+        release.wait();
+        publisher.join().unwrap();
+        reader.join().unwrap();
+        assert!(read.is_ok(), "get() waited for the replaced value to drop");
+    }
+
+    #[test]
+    fn a_captured_view_is_unchanged_by_later_epochs() {
+        let config = EpochConfig { full_recompute_threshold: 2.0, ..Default::default() };
+        let mut e = EpochEngine::new(config).unwrap();
+        for f in 0..600 {
+            e.apply(&cast(&format!("s{}", f % 7), &format!("f{f}"), Vote::True)).unwrap();
+        }
+        e.run_epoch(EpochMode::Auto).unwrap();
+        e.apply(&cast("s1", "f3", Vote::False)).unwrap();
+        let (captured, _) = e.run_epoch(EpochMode::Auto).unwrap();
+        let snapshot = |view: &VerdictView| {
+            let lookups: Vec<Option<FactId>> =
+                (0..700).map(|f| view.fact_by_name(&format!("f{f}"))).collect();
+            let votes: Vec<Vec<(usize, Vote)>> = (0..view.delta().n_facts())
+                .map(|f| view.delta().signature(FactId::new(f)).to_vec())
+                .collect();
+            (view.fingerprint(), lookups, votes, view.stale_count())
+        };
+        let before = snapshot(&captured);
+
+        // Vote flips on neighbouring ids (the captured facts' own chunks),
+        // new sources and a hundred new facts (landing in the name maps'
+        // shards), across several incremental epochs.
+        for round in 0..4 {
+            for f in (0..600).step_by(5) {
+                let vote = if round % 2 == 0 { Vote::False } else { Vote::True };
+                e.apply(&cast(&format!("s{}", (f + round) % 9), &format!("f{f}"), vote)).unwrap();
+            }
+            for f in 600 + 25 * round..600 + 25 * (round + 1) {
+                e.apply(&cast(&format!("new-s{round}"), &format!("f{f}"), Vote::True)).unwrap();
+            }
+            let (view, stats) = e.run_epoch(EpochMode::Auto).unwrap();
+            assert!(!stats.full);
+            assert_ne!(view.fingerprint(), before.0);
+        }
+        assert_eq!(snapshot(&captured), before);
+        assert_eq!(captured.delta().n_facts(), 600);
+        assert!(captured.source_by_name("new-s0").is_none());
+    }
+
+    #[test]
     fn empty_view_serves_zero_state() {
         let view = VerdictView::empty(&EpochConfig::default()).unwrap();
         assert_eq!(view.epoch(), 0);
         assert!(view.fact_by_name("nope").is_none());
-        assert_eq!(view.probabilities().len(), 0);
+        assert_eq!(view.probabilities().count(), 0);
     }
 }

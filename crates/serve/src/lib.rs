@@ -5,6 +5,8 @@
 //! - [`delta`] — [`DeltaDataset`], a streaming, name-keyed accumulator of
 //!   vote/source/fact mutations with incremental signature maintenance and
 //!   dirty tracking; materialises batch-identical [`Dataset`] snapshots.
+//! - `cow` (private) — the chunked copy-on-write column and hash-sharded
+//!   copy-on-write name map that make a [`DeltaDataset`] clone cheap.
 //! - [`wal`] — group-commit, segmented write-ahead log: one framed,
 //!   CRC'd record and one (pipelined) fsync per linger batch, bounded
 //!   `wal.NNNNNN.seg` segments with a CRC'd manifest, parallel replay
@@ -18,7 +20,8 @@
 //!   re-scores only invalidated signature groups under the cached trust
 //!   snapshot, escalates to a full IncEstimate recompute past a
 //!   configurable invalidated-fraction threshold, and atomically publishes
-//!   immutable [`VerdictView`]s.
+//!   immutable [`VerdictView`]s, each a copy-on-write clone of the state
+//!   it evaluated.
 //! - [`queue`] — the bounded ingest queue backing HTTP 429 backpressure.
 //! - [`http`] — the zero-dependency HTTP/1.1 subset (request/response
 //!   parsing and writing) over `std::io` streams.
@@ -52,6 +55,7 @@
 #![deny(unsafe_code)]
 
 pub mod cluster;
+mod cow;
 pub mod delta;
 pub mod epoch;
 mod error;

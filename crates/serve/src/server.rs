@@ -634,10 +634,14 @@ fn epoch_step(
         });
         shared.metrics.note_epoch_published();
     }
-    // Every tick, idle ones too: a background snapshot that finishes after
-    // the last write must land (advance `snapshot_seq`, prune the segments
-    // it covers) without waiting for the next write to arrive.
+    // Every tick, idle ones too: the last write's pipelined fsync must be
+    // confirmed (so its frame ships to replicas), and a background snapshot
+    // that finishes after the last write must land (advance `snapshot_seq`,
+    // prune the segments it covers), without waiting for the next write.
     if let Some(wal) = wal {
+        if let Some(nanos) = wal.poll_fsync_observed(obs)? {
+            shared.metrics.note_fsync(nanos);
+        }
         if wal.maybe_compact(engine.delta())? {
             obs.add(Counter::SnapshotsWritten, 1);
         }

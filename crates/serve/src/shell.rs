@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use corroborate_core::ids::SourceId;
 use corroborate_core::truth::Label;
 use corroborate_obs::{Counter, Json, Observer, RecordingObserver, Span};
 
@@ -362,16 +363,16 @@ fn fact_reply(view: &VerdictView, name: &str) -> Reply {
     obj.insert("verdict", Label::from_probability(p).as_bool());
     obj.insert("epoch", view.epoch());
     obj.insert("stale", view.is_stale(fact));
-    let dataset = view.dataset();
-    let votes: Vec<Json> = dataset
-        .votes()
-        .votes_on(fact)
+    let delta = view.delta();
+    let votes: Vec<Json> = delta
+        .signature(fact)
         .iter()
-        .map(|sv| {
+        .map(|&(source, vote)| {
+            let source = SourceId::new(source);
             let mut v = Json::object();
-            v.insert("source", dataset.source_name(sv.source));
-            v.insert("vote", sv.vote.symbol().to_string());
-            v.insert("trust", view.trust().trust(sv.source));
+            v.insert("source", delta.source_name(source));
+            v.insert("vote", vote.symbol().to_string());
+            v.insert("trust", view.trust().trust(source));
             v
         })
         .collect();

@@ -27,7 +27,10 @@
 //! long-lived syncer thread, and the *next* append collects the completed
 //! fsync — encoding batch N+1 overlaps the in-flight fsync of batch N
 //! (double-buffered frame encoding). A batch's durability therefore lands
-//! one batch late; [`Wal::flush`] and sealing are the synchronous barriers.
+//! one batch late; [`Wal::flush`] and sealing are the synchronous barriers,
+//! and [`Wal::poll_fsync_observed`] collects a finished fsync without
+//! blocking (the epoch loop calls it on every tick, so an idle log still
+//! confirms — and ships — its last frame).
 //!
 //! When [`WalConfig::compact_after_records`] records accumulate, the
 //! active segment is sealed and a snapshot of the whole dataset state is
@@ -59,7 +62,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -929,7 +932,7 @@ impl Wal {
         encode_batch(&mut frame, first_seq, batch)?;
         let frame_len = frame.len() as u64;
 
-        let fsync_nanos = self.drain_fsync(obs)?;
+        let fsync_nanos = self.drain_fsync(obs, true)?;
 
         let mut sealed = false;
         if self.active_bytes > 0
@@ -979,16 +982,43 @@ impl Wal {
         Ok(BatchReceipt { first_seq, count, bytes: frame_len, fsync_nanos, sealed })
     }
 
-    /// Collects the completed pipelined fsync, if one is in flight and
-    /// done; blocks if it is still running. Emits [`Span::WalFsync`].
-    fn drain_fsync<O: Observer>(&mut self, obs: &O) -> Result<Option<u64>, ServeError> {
+    /// Collects a pipelined fsync that has already finished, without
+    /// blocking, and ships the frame it made durable. The epoch loop calls
+    /// this on every tick, idle ones included: otherwise the last frame of
+    /// a burst would ship only when a later append, flush or seal collects
+    /// its fsync. Returns the fsync latency when one was collected; emits
+    /// [`Span::WalFsync`].
+    ///
+    /// # Errors
+    /// The collected fsync's failure (the frame never ships).
+    pub fn poll_fsync_observed<O: Observer>(&mut self, obs: &O) -> Result<Option<u64>, ServeError> {
+        self.drain_fsync(obs, false)
+    }
+
+    /// Collects the pipelined fsync, if one is in flight: waits for it when
+    /// `block`, otherwise only takes one that has finished. Emits
+    /// [`Span::WalFsync`].
+    fn drain_fsync<O: Observer>(
+        &mut self,
+        obs: &O,
+        block: bool,
+    ) -> Result<Option<u64>, ServeError> {
         let Some(syncer) = self.syncer.as_mut() else { return Ok(None) };
         if !syncer.in_flight {
             return Ok(None);
         }
+        let done = if block {
+            syncer.rx.recv().ok()
+        } else {
+            match syncer.rx.try_recv() {
+                Ok(done) => Some(done),
+                Err(TryRecvError::Empty) => return Ok(None),
+                Err(TryRecvError::Disconnected) => None,
+            }
+        };
         syncer.in_flight = false;
-        match syncer.rx.recv() {
-            Ok((result, nanos, first_seq)) => {
+        match done {
+            Some((result, nanos, first_seq)) => {
                 if O::ENABLED {
                     obs.span_begin(Span::WalFsync, first_seq);
                     obs.span(Span::WalFsync, nanos);
@@ -1007,7 +1037,7 @@ impl Wal {
                     }
                 }
             }
-            Err(_) => Err(ServeError::Io(io::Error::other("wal syncer thread died"))),
+            None => Err(ServeError::Io(io::Error::other("wal syncer thread died"))),
         }
     }
 
@@ -1051,7 +1081,7 @@ impl Wal {
     /// # Errors
     /// I/O failures.
     pub fn flush_observed<O: Observer>(&mut self, obs: &O) -> Result<Option<u64>, ServeError> {
-        self.drain_fsync(obs)?;
+        self.drain_fsync(obs, true)?;
         if !self.config.fsync {
             return Ok(None);
         }
@@ -1087,7 +1117,7 @@ impl Wal {
     }
 
     fn seal_inner<O: Observer>(&mut self, obs: &O) -> Result<(), ServeError> {
-        self.drain_fsync(obs)?;
+        self.drain_fsync(obs, true)?;
         if self.config.fsync {
             self.active.sync_data()?;
         }
@@ -1242,7 +1272,7 @@ impl Wal {
     ) -> Result<(), ServeError> {
         // A concurrent snapshot may land first; ours below is fresher.
         let _ = self.poll_compaction(true)?;
-        self.drain_fsync(obs)?;
+        self.drain_fsync(obs, true)?;
         let snapshot_seq = self.next_seq.saturating_sub(1);
         let snapshot = encode_snapshot(dataset, snapshot_seq)?;
         write_snapshot(self.fs.as_ref(), &self.dir, &snapshot, self.config.fsync)?;

@@ -96,8 +96,8 @@ fn single_chunk_stream_equals_batch_exactly() {
     let batch = evaluate_batch(world.dataset, &EpochConfig::default()).unwrap();
 
     assert_eq!(view.fingerprint(), batch.fingerprint());
-    let probs: Vec<u64> = view.probabilities().iter().map(|p| p.to_bits()).collect();
-    let batch_probs: Vec<u64> = batch.probabilities().iter().map(|p| p.to_bits()).collect();
+    let probs: Vec<u64> = view.probabilities().map(f64::to_bits).collect();
+    let batch_probs: Vec<u64> = batch.probabilities().map(f64::to_bits).collect();
     assert_eq!(probs, batch_probs);
     let trust: Vec<u64> = view.trust().values().iter().map(|t| t.to_bits()).collect();
     let batch_trust: Vec<u64> = batch.trust().values().iter().map(|t| t.to_bits()).collect();

@@ -189,6 +189,43 @@ fn replica_follows_primary_and_matches_fingerprint_after_drain() {
 }
 
 #[test]
+fn an_idle_fsync_on_primary_ships_its_last_batch() {
+    let dir = tempdir("idle-fsync");
+    let config = ServerConfig {
+        wal: WalConfig { fsync: true, ..WalConfig::default() },
+        ..primary_config(&dir)
+    };
+    let primary = start(config).unwrap();
+    let addr = primary.addr();
+    let replica = replica::start(replica_config(addr, "idle-1")).unwrap();
+
+    // One two-vote batch (seqs 1 and 2), then no further writes: only the
+    // idle epoch ticks can confirm its pipelined fsync and ship it.
+    let body = r#"{"votes":[{"source":"s0","fact":"f0","vote":"T"},{"source":"s1","fact":"f0","vote":"F"}]}"#;
+    let (status, _) = request(addr, "POST", "/v1/votes", body);
+    assert_eq!(status, 202);
+    let mut seq = 0;
+    assert!(
+        poll_until(Duration::from_secs(5), || {
+            seq = durable_seq(addr);
+            seq >= 2
+        }),
+        "idle primary never shipped its last batch: durable_seq {seq}"
+    );
+    assert!(
+        poll_until(Duration::from_secs(5), || replica.applied_seq() >= 2),
+        "replica stuck at {} of 2: {:?}",
+        replica.applied_seq(),
+        replica.last_error()
+    );
+
+    let primary_view = primary.shutdown().unwrap();
+    let replica_view = replica.shutdown().unwrap();
+    assert_eq!(primary_view.fingerprint(), replica_view.fingerprint());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn replica_follows_across_primary_crash_and_restart() {
     // Reserve a port so the restarted primary comes back at the same
     // address the replica is configured to fetch from.
