@@ -31,7 +31,10 @@
 //!   variant that reproduces the paper's experimental results**: on the
 //!   §6.3.1 synthetic worlds it reaches the reported ~0.9+ accuracy, and
 //!   its running time matches the paper's Table 6 (≈1 s on the
-//!   36,916-listing dataset).
+//!   36,916-listing dataset). Its selection folds the per-block polarity
+//!   winners the engine state keeps current, rescanning only the blocks a
+//!   round changed, so it does not grow with the groups a round leaves
+//!   untouched.
 //! - [`DeltaHMode::Equation9`] is the literal spillover-only Equation 9.
 //!   On the synthetic workloads it exhibits a *discrediting cascade*: it
 //!   prefers borderline groups (their evaluation keeps spillover entropy
@@ -64,7 +67,7 @@ use corroborate_core::ids::{FactId, SourceId};
 use corroborate_core::vote::Vote;
 use corroborate_obs::{Observer, SelectionRecord, Span, TierTally};
 
-use super::shard::{lex_better, merge_pick, GroupPick};
+use super::shard::{lex_better, GroupPick};
 use super::{par, IncState, SelectionStrategy, OBS_EMIT};
 
 /// Which terms of the collective-entropy objective rank the fact groups.
@@ -687,8 +690,8 @@ fn scores_pruned<O: Observer>(
 /// commit and the per-source credit is spread over co-voting sources
 /// instead of anointing one arbitrary source — then larger groups, then
 /// canonical order (ascending scan, strict comparison: first seen wins
-/// full ties). The sharded self-term path reproduces exactly this order
-/// via the per-shard scan + fixed-order merge.
+/// full ties). The self-term path reproduces exactly this order via the
+/// per-block winners and their ascending merge.
 fn best_of(groups: &[FactGroup], part: &[usize], scores: &[f64]) -> GroupPick {
     let mut best: Option<GroupPick> = None;
     for (&i, &s) in part.iter().zip(scores) {
@@ -724,31 +727,25 @@ impl SelectionStrategy for IncEstHeu {
         }
     }
 
+    fn reads_block_winners(&self) -> bool {
+        self.mode == DeltaHMode::SelfTerm
+    }
+
     fn select<O: Observer>(&self, state: &IncState<'_, O>) -> Vec<FactId> {
         let groups = state.groups();
         let mode = self.mode;
         let tally = TierTally::new();
 
         let (best_pos, best_neg, candidates) = if mode == DeltaHMode::SelfTerm {
-            // Sharded scan: each shard walks its own (ascending) member
-            // list, partitions strictly (§5.1: positive above 0.5,
-            // negative below — boundary groups wait) and keeps its local
-            // lex-best group per polarity; self-term scores `−H(p)` per
-            // fact are O(1) cache reads. The merge then folds the shard
-            // winners in fixed shard order with positional tie-breaks, so
-            // the global argmax is bit-identical to one sequential scan of
-            // the whole canonical group list.
-            let scans = state.shard_scans();
-            crate::traced(state.observer(), Span::ShardMerge, scans.len() as u64, || {
-                let mut pos = None;
-                let mut neg = None;
-                let mut candidates = 0u64;
-                for scan in &scans {
-                    merge_pick(&mut pos, scan.pos);
-                    merge_pick(&mut neg, scan.neg);
-                    candidates += scan.candidates;
-                }
-                (pos, neg, candidates)
+            // The state keeps each block's lex-best group per polarity
+            // (strict §5.1 partition: positive above 0.5, negative below —
+            // boundary groups wait; self-term scores `−H(p)` per fact are
+            // O(1) cache reads) and rescans only blocks whose groups
+            // changed. Folding the block winners in canonical order with
+            // positional tie-breaks makes the global argmax bit-identical
+            // to one sequential scan of the whole canonical group list.
+            crate::traced(state.observer(), Span::ShardMerge, state.n_blocks() as u64, || {
+                state.polarity_winners()
             })
         } else {
             // Spillover-bearing modes: strict §5.1 partition of the live

@@ -21,6 +21,22 @@
 //!   (§6.1.1): always evaluate the highest-probability group;
 //! - [`FixedSchedule`] — a scripted round schedule, used to reproduce the
 //!   §2.3 walkthrough (Table 2's "Our strategy" row) and for testing.
+//!
+//! ## Per-round cost
+//!
+//! A round's bookkeeping costs what the round changed, not the size of the
+//! world. Evaluating facts counts their votes once per touched group (a
+//! group's facts share its signature and outcome), and evaluating or
+//! seeding marks the sources whose counters moved and the selection blocks
+//! whose groups shrank. The refresh that follows drops the postings of the
+//! groups that drained, re-derives the trust of the marked sources only
+//! (the first refresh visits every source), recomputes the cached
+//! probabilities of the groups posted on by sources whose trust changed,
+//! and — for a strategy that reads them — rescans only the blocks holding
+//! a recomputed, shrunk or drained group (see the `shard` module). The
+//! session records the trust trajectory as a change log of the re-derived
+//! sources. Every shortcut is exact: results are bit-identical to
+//! re-deriving everything each round.
 
 mod heuristic;
 #[cfg(test)]
@@ -123,6 +139,13 @@ pub struct IncState<'a, O: Observer = NoopObserver> {
     /// rounded evaluation result / total votes evaluated.
     matches: Vec<u32>,
     totals: Vec<u32>,
+    /// Sources whose counters moved since the last refresh (every source
+    /// before the first one), with their membership flags: only these
+    /// have a trust value to re-derive.
+    moved: Vec<SourceId>,
+    moved_flags: Vec<bool>,
+    /// Sources the last refresh re-derived.
+    rederived: Vec<SourceId>,
     /// Evaluated probability per fact (config prior until evaluated).
     probs: Vec<f64>,
     /// Signature groups in canonical order, maintained incrementally:
@@ -134,13 +157,17 @@ pub struct IncState<'a, O: Observer = NoopObserver> {
     groups: Vec<FactGroup>,
     /// Group index of each fact.
     group_of: Vec<usize>,
-    /// Source→group inverted index over `groups`; postings never change.
+    /// Source→group inverted index over `groups`. A group's postings are
+    /// removed in the round it drains, so every list holds exactly the
+    /// source's live groups.
     index: SourceGroupIndex,
     /// Sharded per-group caches (Corrob probability, entropy, dirty
     /// tracking), partitioned by signature hash: a round only recomputes
     /// the groups voted on by sources whose trust value actually moved —
     /// O(votes of changed sources) instead of O(total votes) — and the
-    /// recomputation fans out over shards on scoped worker threads.
+    /// recomputation fans out over shards on scoped worker threads. Also
+    /// keeps the per-block polarity winners the self-term selection folds,
+    /// when the strategy reads them.
     caches: shard::ShardCaches,
     /// Resolved worker-thread count for shard fan-out (never affects
     /// results, only wall-clock).
@@ -154,15 +181,19 @@ impl<'a> IncState<'a> {
     /// through [`Self::with_observer`]).
     #[cfg(test)]
     fn new(dataset: &'a Dataset, config: IncEstimateConfig) -> Result<Self, CoreError> {
-        Self::with_observer(dataset, config, &NOOP)
+        Self::with_observer(dataset, config, &NOOP, true)
     }
 }
 
 impl<'a, O: Observer> IncState<'a, O> {
+    /// State over `dataset`; `keep_block_winners` keeps the self-term
+    /// selection's per-block winners current after every refresh (see
+    /// [`SelectionStrategy::reads_block_winners`]).
     fn with_observer(
         dataset: &'a Dataset,
         config: IncEstimateConfig,
         obs: &'a O,
+        keep_block_winners: bool,
     ) -> Result<Self, CoreError> {
         config.validate()?;
         let all_facts: Vec<FactId> = dataset.facts().collect();
@@ -180,6 +211,7 @@ impl<'a, O: Observer> IncState<'a, O> {
             &trust,
             config.voteless_prior,
             config.shard.resolved_shards(),
+            keep_block_winners,
         );
         let threads = config.shard.resolved_threads();
         if O::ENABLED && OBS_EMIT {
@@ -195,6 +227,11 @@ impl<'a, O: Observer> IncState<'a, O> {
             trust,
             matches: vec![0; dataset.n_sources()],
             totals: vec![0; dataset.n_sources()],
+            // The first refresh re-derives every source: the uniform σ₀
+            // need not equal the smoothed `(0 + k·σ₀)/(0 + k)` bit for bit.
+            moved: dataset.sources().collect(),
+            moved_flags: vec![true; dataset.n_sources()],
+            rederived: Vec::new(),
             probs: vec![config.voteless_prior; dataset.n_facts()],
             groups,
             group_of,
@@ -204,11 +241,29 @@ impl<'a, O: Observer> IncState<'a, O> {
         })
     }
 
-    /// Detaches `fact` from its signature group (fact becomes evaluated).
-    fn remove_from_group(&mut self, fact: FactId) {
-        let group = &mut self.groups[self.group_of[fact.index()]];
+    /// Detaches `fact` from its signature group (fact becomes evaluated)
+    /// and returns the group index.
+    fn remove_from_group(&mut self, fact: FactId) -> usize {
+        let gi = self.group_of[fact.index()];
+        let group = &mut self.groups[gi];
         if let Ok(pos) = group.facts.binary_search(&fact) {
             group.facts.remove(pos);
+        }
+        self.caches.mark_shrunk(gi);
+        gi
+    }
+
+    /// Folds `n` evaluated votes of `source`, all agreeing or all not, into
+    /// its counters and marks the source for re-derivation.
+    fn count_votes(&mut self, source: SourceId, n: u32, agrees: bool) {
+        let s = source.index();
+        self.totals[s] += n;
+        if agrees {
+            self.matches[s] += n;
+        }
+        if !self.moved_flags[s] {
+            self.moved_flags[s] = true;
+            self.moved.push(source);
         }
     }
 
@@ -322,11 +377,17 @@ impl<'a, O: Observer> IncState<'a, O> {
         self.threads
     }
 
-    /// Per-shard polarity winners for the self-term ΔH argmax, in shard
-    /// order (parallel scan; see [`shard`]). Private to `inc`, used by the
-    /// heuristic strategy.
-    fn shard_scans(&self) -> Vec<shard::ShardScan> {
-        self.caches.polarity_scans(&self.groups, self.threads)
+    /// Best positive and best negative live group under the self-term ΔH
+    /// order, and the number of groups in either part — the per-block
+    /// winners folded in canonical order (see [`shard`]). Private to
+    /// `inc`, used by the heuristic strategy.
+    fn polarity_winners(&self) -> (Option<shard::GroupPick>, Option<shard::GroupPick>, u64) {
+        self.caches.polarity_winners(&self.groups)
+    }
+
+    /// Number of selection blocks the self-term winners fold over.
+    fn n_blocks(&self) -> usize {
+        self.caches.n_blocks()
     }
 
     /// The source→group inverted index over [`groups`](Self::groups).
@@ -377,6 +438,12 @@ impl<'a, O: Observer> IncState<'a, O> {
         self.probs
     }
 
+    /// The sources the last trust refresh re-derived — every source whose
+    /// value can differ from the snapshot before it.
+    pub(crate) fn rederived(&self) -> &[SourceId] {
+        &self.rederived
+    }
+
     /// Marks `fact` as evaluated with an externally-known `label`
     /// (probability 1/0), updating counters and trust — the
     /// semi-supervised seeding primitive used by
@@ -386,30 +453,34 @@ impl<'a, O: Observer> IncState<'a, O> {
         self.probs[fact.index()] = if label.as_bool() { 1.0 } else { 0.0 };
         self.remaining_mask[fact.index()] = false;
         self.remaining_count -= 1;
-        self.remove_from_group(fact);
+        let gi = self.remove_from_group(fact);
         for sv in self.dataset.votes().votes_on(fact) {
-            self.totals[sv.source.index()] += 1;
-            if sv.vote.as_bool() == label.as_bool() {
-                self.matches[sv.source.index()] += 1;
-            }
+            self.count_votes(sv.source, 1, sv.vote.as_bool() == label.as_bool());
         }
-        self.refresh_trust_and_cache();
+        let drained: &[usize] = if self.groups[gi].facts.is_empty() { &[gi] } else { &[] };
+        self.refresh_trust_and_cache(drained);
     }
 
-    /// Recomputes the trust snapshot from the counters, then refreshes the
-    /// group-probability cache for exactly the groups voted on by sources
-    /// whose trust value moved (dirty tracking over the inverted index).
+    /// Re-derives the trust of the sources whose counters moved, then
+    /// refreshes the group-probability cache for exactly the groups voted
+    /// on by sources whose trust value changed (dirty tracking over the
+    /// inverted index).
     ///
-    /// Also compacts groups that drained to empty out of the posting lists
-    /// first, so spillover walks and dirty marking stay proportional to the
-    /// live degree of each source. Dead groups contribute nothing to either,
-    /// so compaction never changes results.
-    fn refresh_trust_and_cache(&mut self) {
+    /// First compacts the groups that drained this round (`drained`) out of
+    /// the posting lists, so spillover walks and dirty marking stay
+    /// proportional to the live degree of each source. Dead groups
+    /// contribute nothing to either, so compaction never changes results.
+    /// A source whose counters did not move keeps the value the last
+    /// refresh derived from them, so skipping it is exact too.
+    fn refresh_trust_and_cache(&mut self, drained: &[usize]) {
         let obs = self.obs;
         traced(obs, Span::CacheRefresh, self.caches.n_shards() as u64, || {
-            let groups = &self.groups;
-            let compacted = self.index.retain_groups(|gi| !groups[gi].facts.is_empty());
-            for s in self.dataset.sources() {
+            let compacted = self.index.remove_groups(&self.groups, drained);
+            std::mem::swap(&mut self.moved, &mut self.rederived);
+            self.moved.clear();
+            for k in 0..self.rederived.len() {
+                let s = self.rederived[k];
+                self.moved_flags[s.index()] = false;
                 let updated = self.projected_trust(s, 0, 0);
                 if updated.to_bits() != self.trust.trust(s).to_bits() {
                     for posting in self.index.groups_of(s) {
@@ -452,34 +523,35 @@ impl<'a, O: Observer> IncState<'a, O> {
                 // evaluation fixes probabilities under σ_i, and the snapshot
                 // only advances in refresh_trust_and_cache below.
                 let gi = self.group_of[f.index()];
-                let p = self.caches.probability(gi);
-                self.probs[f.index()] = p;
+                self.probs[f.index()] = self.caches.probability(gi);
                 self.remaining_mask[f.index()] = false;
                 self.remaining_count -= 1;
                 detach.push((gi, f));
-                let outcome = Label::from_probability(p);
-                for sv in self.dataset.votes().votes_on(f) {
-                    self.totals[sv.source.index()] += 1;
-                    if sv.vote.as_bool() == outcome.as_bool() {
-                        self.matches[sv.source.index()] += 1;
-                    }
-                }
             }
-            // Batched detach: one retain pass per touched group instead of
-            // one O(|FG|) Vec::remove per fact — the final mass round over
-            // a large group would otherwise drain it quadratically.
+            // Batched per group: one retain pass per touched group instead
+            // of one O(|FG|) Vec::remove per fact — the final mass round
+            // over a large group would otherwise drain it quadratically.
+            // A group's facts share its signature (their votes) and its
+            // cached probability (their outcome), so each signature source's
+            // counters move by the run length at once.
             detach.sort_unstable();
-            let mut k = 0;
-            while k < detach.len() {
-                let gi = detach[k].0;
-                let mut end = k + 1;
-                while end < detach.len() && detach[end].0 == gi {
-                    end += 1;
+            let mut drained = Vec::new();
+            for run in detach.chunk_by(|a, b| a.0 == b.0) {
+                let gi = run[0].0;
+                let outcome = Label::from_probability(self.caches.probability(gi));
+                let n = run.len() as u32;
+                for k in 0..self.groups[gi].signature.len() {
+                    let sv = self.groups[gi].signature[k];
+                    self.count_votes(sv.source, n, sv.vote.as_bool() == outcome.as_bool());
                 }
-                remove_batch_from_group(&mut self.groups[gi].facts, &detach[k..end]);
-                k = end;
+                let members = &mut self.groups[gi].facts;
+                remove_batch_from_group(members, run);
+                if members.is_empty() {
+                    drained.push(gi);
+                }
+                self.caches.mark_shrunk(gi);
             }
-            self.refresh_trust_and_cache();
+            self.refresh_trust_and_cache(&drained);
         });
         if O::ENABLED && OBS_EMIT {
             obs.add(Counter::FactsEvaluated, facts.len() as u64);
@@ -515,6 +587,15 @@ pub trait SelectionStrategy {
     /// returned id must still be unevaluated; returning an empty vector
     /// makes the engine evaluate all remaining facts in one final round.
     fn select<O: Observer>(&self, state: &IncState<'_, O>) -> Vec<FactId>;
+
+    /// Whether `select` reads the per-block winners the engine can keep
+    /// for the self-term selection (only [`IncEstHeu`] in its self-term
+    /// mode does). The engine rescans stale blocks after each refresh
+    /// only for a strategy that returns `true`. The default is always
+    /// correct: winners that were not kept are scanned when read.
+    fn reads_block_winners(&self) -> bool {
+        false
+    }
 }
 
 impl<S: SelectionStrategy + ?Sized> SelectionStrategy for &S {
@@ -524,6 +605,10 @@ impl<S: SelectionStrategy + ?Sized> SelectionStrategy for &S {
 
     fn select<O: Observer>(&self, state: &IncState<'_, O>) -> Vec<FactId> {
         (**self).select(state)
+    }
+
+    fn reads_block_winners(&self) -> bool {
+        (**self).reads_block_winners()
     }
 }
 

@@ -5,12 +5,9 @@
 //! positional chunks, and [`map_indexed`] does the same for per-shard
 //! tasks. Output vectors are written by position, so the result — and
 //! therefore every downstream argmax and tie-break — is bit-identical to
-//! the sequential path whatever the thread count. (The legacy `rayon`
-//! feature remains declared as a no-op alias for build compatibility; the
-//! implementation is `std::thread::scope` because the offline build image
-//! cannot vendor rayon. The call shapes are drop-ins for
-//! `par_iter().map().collect()`, so swapping the real crate back in is a
-//! one-file change.)
+//! the sequential path whatever the thread count. The implementation is
+//! `std::thread::scope`, with no thread-pool dependency; the call shapes are
+//! drop-ins for rayon's `par_iter().map().collect()`.
 //!
 //! Scheduling is deliberately work-stealing-free: every worker gets a
 //! contiguous, statically computed run of items ([`chunk_counts`]), which

@@ -4,6 +4,11 @@
 //! (semi-supervised corroboration — e.g. the listings an analyst already
 //! checked in person, exactly the paper's golden-set collection process
 //! turned into an input instead of an evaluation artefact).
+//!
+//! The session records the trust trajectory as a change log: each round
+//! (and each seed) appends only the sources the state's trust refresh
+//! re-derived, so recording costs what the round changed, not one full
+//! snapshot per time point.
 
 use corroborate_core::prelude::*;
 use corroborate_obs::{Counter, NoopObserver, Observer, RoundRecord, Span, NOOP};
@@ -61,7 +66,7 @@ impl<'a, S: SelectionStrategy, O: Observer> IncEstimateSession<'a, S, O> {
         config: IncEstimateConfig,
         obs: &'a O,
     ) -> Result<Self, CoreError> {
-        let state = IncState::with_observer(dataset, config, obs)?;
+        let state = IncState::with_observer(dataset, config, obs, strategy.reads_block_winners())?;
         let mut trajectory = TrustTrajectory::new();
         trajectory.push(state.trust().clone());
         Ok(Self { state, strategy, trajectory, rounds: 0 })
@@ -98,15 +103,22 @@ impl<'a, S: SelectionStrategy, O: Observer> IncEstimateSession<'a, S, O> {
             });
         }
         self.state.seed(fact, label);
-        // Seeding replaces the latest snapshot rather than adding a time
-        // point: it is knowledge injected *at* t_i, not a round.
-        self.trajectory =
-            replace_last(std::mem::take(&mut self.trajectory), self.state.trust().clone());
+        // Seeding amends the latest time point rather than adding one: it
+        // is knowledge injected *at* t_i, not a round.
+        self.trajectory.amend_last(rederived_trust(&self.state));
         Ok(())
     }
 
     /// Runs one time point. Returns `None` when every fact is evaluated.
     pub fn step(&mut self) -> Option<StepReport> {
+        let evaluated = self.advance()?;
+        let evaluated = evaluated.into_iter().map(|f| (f, self.state.probability(f))).collect();
+        Some(StepReport { round: self.rounds, evaluated, trust: self.state.trust().clone() })
+    }
+
+    /// Runs one time point and returns the facts it evaluated, or `None`
+    /// when every fact is evaluated.
+    fn advance(&mut self) -> Option<Vec<FactId>> {
         if self.state.remaining_count() == 0 {
             return None;
         }
@@ -123,7 +135,7 @@ impl<'a, S: SelectionStrategy, O: Observer> IncEstimateSession<'a, S, O> {
         }
         self.state.evaluate(&selection);
         self.rounds += 1;
-        self.trajectory.push(self.state.trust().clone());
+        self.trajectory.push_changes(rederived_trust(&self.state));
         if O::ENABLED && OBS_EMIT {
             obs.add(Counter::Rounds, 1);
             obs.round(&RoundRecord {
@@ -137,8 +149,7 @@ impl<'a, S: SelectionStrategy, O: Observer> IncEstimateSession<'a, S, O> {
                 selection: None,
             });
         }
-        let evaluated = selection.into_iter().map(|f| (f, self.state.probability(f))).collect();
-        Some(StepReport { round: self.rounds, evaluated, trust: self.state.trust().clone() })
+        Some(selection)
     }
 
     /// Drains the remaining rounds and assembles the final result.
@@ -147,7 +158,7 @@ impl<'a, S: SelectionStrategy, O: Observer> IncEstimateSession<'a, S, O> {
     /// Propagates result-assembly errors (never expected for in-range
     /// probabilities).
     pub fn finish(mut self) -> Result<CorroborationResult, CoreError> {
-        while self.step().is_some() {}
+        while self.advance().is_some() {}
         let trust = self.state.trust().clone();
         CorroborationResult::new(
             self.state.into_probabilities(),
@@ -158,18 +169,13 @@ impl<'a, S: SelectionStrategy, O: Observer> IncEstimateSession<'a, S, O> {
     }
 }
 
-fn replace_last(mut trajectory: TrustTrajectory, snapshot: TrustSnapshot) -> TrustTrajectory {
-    // TrustTrajectory has no pop; rebuild without the last entry.
-    let mut rebuilt = TrustTrajectory::new();
-    let len = trajectory.len();
-    for (i, snap) in trajectory.iter().enumerate() {
-        if i + 1 < len {
-            rebuilt.push(snap.clone());
-        }
-    }
-    rebuilt.push(snapshot);
-    let _ = &mut trajectory;
-    rebuilt
+/// The sources the state's last trust refresh re-derived, with their
+/// values.
+fn rederived_trust<'s, O: Observer>(
+    state: &'s IncState<'_, O>,
+) -> impl Iterator<Item = (SourceId, f64)> + 's {
+    let trust = state.trust();
+    state.rederived().iter().map(move |&s| (s, trust.trust(s)))
 }
 
 #[cfg(test)]

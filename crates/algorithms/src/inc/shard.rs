@@ -1,6 +1,6 @@
-//! Per-shard engine state: the partitioned probability/entropy caches and
-//! the deterministic scan/merge primitives behind the parallel IncEstimate
-//! core.
+//! Per-shard engine state: the partitioned probability/entropy caches, the
+//! per-block polarity winners of the self-term selection, and the
+//! deterministic merge primitives behind the IncEstimate core.
 //!
 //! The canonical group list is partitioned once per run by
 //! [`ShardPlan`] (stable signature hash — see `corroborate_core::shard`).
@@ -10,19 +10,29 @@
 //! mutable state, no locks, no `unsafe` — scheduled statically over scoped
 //! threads ([`super::par`]).
 //!
+//! Selection state is kept per *block* of [`BLOCK_WIDTH`] consecutive
+//! canonical groups instead: each block holds its best positive and best
+//! negative group and its candidate count. A block is rescanned only when
+//! one of its groups was refreshed, shrank (size is a tie-break key) or
+//! drained, so a round's selection costs the blocks it changed plus one
+//! fold over the block winners — not a scan of every group. The blocks are
+//! kept only for a strategy that reads them (the self-term selection);
+//! for any other, a read of the winners scans every block on the spot.
+//!
 //! ## Why results are bit-identical to the sequential engine
 //!
 //! - *Refresh*: each dirty group's probability/entropy is recomputed from
 //!   the same `(signature, trust, prior)` inputs by the same kernel,
 //!   written to a slot only its own shard touches. Recomputation order
 //!   across groups is irrelevant — entries are independent.
-//! - *Selection*: each shard scans its members in ascending canonical
-//!   order and keeps the lexicographic best per polarity
-//!   ([`lex_better`]: score, then signature length, then group size, with
-//!   the earliest group winning full ties). The per-round reduction
-//!   ([`merge_pick`]) folds shard winners in fixed shard order and breaks
-//!   full ties positionally on the canonical group index — exactly the
-//!   winner the sequential ascending scan would have kept.
+//! - *Selection*: each block scans its groups in ascending canonical order
+//!   and keeps the lexicographic best per polarity ([`lex_better`]: score,
+//!   then signature length, then group size, with the earliest group
+//!   winning full ties). The reduction ([`merge_pick`]) folds block winners
+//!   in ascending block order and breaks full ties positionally on the
+//!   canonical group index — exactly the winner one ascending scan of the
+//!   whole group list would have kept. A block whose groups kept their
+//!   cached probability, entropy and size would rescan to the same winners.
 
 use corroborate_core::entropy::binary_entropy;
 use corroborate_core::groups::FactGroup;
@@ -35,9 +45,9 @@ use super::par;
 /// Shard count used when [`ShardConfig::shards`] is 0 (auto). A fixed
 /// constant rather than a hardware probe: the effective shard count feeds
 /// deterministic, golden-gated telemetry (shard tasks, imbalance), so it
-/// must not vary across machines. 16 shards keep every slab comfortably
-/// busy on the thread counts the benches sweep (1–8 and "max") while the
-/// static scheduler assigns multiple slabs per worker beyond that.
+/// must not vary across machines. 16 shards give the static scheduler
+/// several slabs per worker at common thread counts. Whether the partition
+/// pays on a given host is what the `shard_scaling` bench measures.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Below this many total dirty groups a refresh runs on the calling
@@ -45,9 +55,11 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// small dirty set cannot amortise even one thread spawn.
 const MIN_PARALLEL_REFRESH_GROUPS: usize = 256;
 
-/// Below this many total groups the selection scan runs on the calling
-/// thread — the scan is a cache read plus a comparison per group.
-const MIN_PARALLEL_SCAN_GROUPS: usize = 16_384;
+/// Canonical groups per selection block. Chosen by measurement on the
+/// benchmark's three worlds (see `docs/PERFORMANCE.md`): narrower blocks
+/// rescan fewer groups on worlds where a round touches few of them but
+/// lengthen the per-round fold, wider ones the reverse.
+const BLOCK_WIDTH: usize = 64;
 
 /// Shard/thread configuration of the engine core. The default (`0`/`0`,
 /// i.e. auto) is the *parallel* configuration: sharded state over
@@ -58,8 +70,8 @@ pub struct ShardConfig {
     /// Number of shards (0 = auto → [`DEFAULT_SHARDS`]). The effective
     /// count is additionally clamped to the dataset's group count.
     pub shards: usize,
-    /// Worker threads for refresh/scan fan-out (0 = auto → OS parallelism;
-    /// 1 = fully sequential).
+    /// Worker threads for cache-refresh and ΔH-scoring fan-out (0 = auto →
+    /// OS parallelism; 1 = fully sequential).
     pub threads: usize,
 }
 
@@ -128,15 +140,15 @@ pub(super) struct RefreshStats {
     pub shard_tasks: usize,
 }
 
-/// One shard's polarity winners from a selection scan.
+/// One block's polarity winners.
 #[derive(Debug, Default, Clone, Copy)]
-pub(super) struct ShardScan {
-    /// Best positive-part group of the shard (`p > 0.5`), if any.
-    pub pos: Option<GroupPick>,
-    /// Best negative-part group of the shard (`p < 0.5`), if any.
-    pub neg: Option<GroupPick>,
-    /// Live groups the shard classified into either part.
-    pub candidates: u64,
+struct BlockScan {
+    /// Best positive-part group of the block (`p > 0.5`), if any.
+    pos: Option<GroupPick>,
+    /// Best negative-part group of the block (`p < 0.5`), if any.
+    neg: Option<GroupPick>,
+    /// Live groups the block classified into either part.
+    candidates: u64,
 }
 
 /// A candidate group with everything the merge tie-breaks on.
@@ -153,8 +165,8 @@ pub(super) struct GroupPick {
 }
 
 /// The strict "better than" order of the ΔH argmax: score, then signature
-/// length, then group size — shared by the sequential scan, the per-shard
-/// scan, and the cross-shard merge so the tie-break rule has exactly one
+/// length, then group size — shared by the spillover-mode argmax, the
+/// block scan, and the block merge so the tie-break rule has exactly one
 /// definition.
 #[inline]
 pub(super) fn lex_better(c: &GroupPick, b: &GroupPick) -> bool {
@@ -163,13 +175,13 @@ pub(super) fn lex_better(c: &GroupPick, b: &GroupPick) -> bool {
             && (c.sig_len > b.sig_len || (c.sig_len == b.sig_len && c.size > b.size)))
 }
 
-/// Folds one shard's winner into the running best. Fixed fold order plus
-/// the positional tie-break (lower canonical group index on a full tuple
-/// tie) reproduces the sequential ascending-index scan: the winner is the
-/// earliest canonical group among the lexicographic maxima, whatever
-/// shard it lives in.
+/// Folds one block's winner into the running best. The positional
+/// tie-break (lower canonical group index on a full tuple tie) reproduces
+/// the sequential ascending-index scan: the winner is the earliest
+/// canonical group among the lexicographic maxima, whatever block it
+/// lives in.
 #[inline]
-pub(super) fn merge_pick(best: &mut Option<GroupPick>, cand: Option<GroupPick>) {
+fn merge_pick(best: &mut Option<GroupPick>, cand: Option<GroupPick>) {
     let Some(c) = cand else { return };
     match best {
         None => *best = Some(c),
@@ -182,16 +194,32 @@ pub(super) fn merge_pick(best: &mut Option<GroupPick>, cand: Option<GroupPick>) 
     }
 }
 
-/// The partitioned probability/entropy caches of an IncEstimate run.
+/// The partitioned probability/entropy caches of an IncEstimate run, with
+/// the per-block selection winners they feed.
 #[derive(Debug)]
 pub(super) struct ShardCaches {
     plan: ShardPlan,
     slabs: Vec<ShardSlab>,
+    /// Polarity winners per block of [`BLOCK_WIDTH`] canonical groups;
+    /// empty when the blocks are not kept.
+    blocks: Vec<BlockScan>,
+    /// Blocks awaiting a rescan, and their membership flags (one per
+    /// kept block).
+    stale_blocks: Vec<u32>,
+    stale_flags: Vec<bool>,
 }
 
 impl ShardCaches {
-    /// Builds the plan and seeds every slab from the initial trust.
-    pub fn build(groups: &[FactGroup], trust: &TrustSnapshot, prior: f64, n_shards: usize) -> Self {
+    /// Builds the plan, seeds every slab from the initial trust, and, when
+    /// `keep_blocks`, scans every block and keeps the winners current from
+    /// then on.
+    pub fn build(
+        groups: &[FactGroup],
+        trust: &TrustSnapshot,
+        prior: f64,
+        n_shards: usize,
+        keep_blocks: bool,
+    ) -> Self {
         let plan = ShardPlan::build(groups, n_shards);
         let slabs = (0..plan.n_shards())
             .map(|s| {
@@ -209,7 +237,16 @@ impl ShardCaches {
                 }
             })
             .collect();
-        Self { plan, slabs }
+        let n_blocks = if keep_blocks { groups.len().div_ceil(BLOCK_WIDTH) } else { 0 };
+        let mut caches = Self {
+            plan,
+            slabs,
+            blocks: vec![BlockScan::default(); n_blocks],
+            stale_blocks: (0..n_blocks as u32).collect(),
+            stale_flags: vec![true; n_blocks],
+        };
+        caches.rescan_blocks(groups);
+        caches
     }
 
     /// The shard partition.
@@ -236,7 +273,8 @@ impl ShardCaches {
         self.slabs[l.shard as usize].entropies[l.slot as usize]
     }
 
-    /// Marks group `gi` for recomputation on its owning shard.
+    /// Marks group `gi` for recomputation on its owning shard (and its
+    /// block for a rescan).
     #[inline]
     pub fn mark_dirty(&mut self, gi: usize) {
         let l = self.plan.loc(gi);
@@ -245,12 +283,28 @@ impl ShardCaches {
         if !slab.dirty_flags[slot] {
             slab.dirty_flags[slot] = true;
             slab.dirty.push(l.slot);
+            self.mark_shrunk(gi);
+        }
+    }
+
+    /// Marks the block of group `gi` for a rescan: the group lost facts,
+    /// which moves its size tie-break or takes it out of both parts. A
+    /// no-op when the blocks are not kept (there are no flags).
+    #[inline]
+    pub fn mark_shrunk(&mut self, gi: usize) {
+        let block = gi / BLOCK_WIDTH;
+        if let Some(stale) = self.stale_flags.get_mut(block) {
+            if !*stale {
+                *stale = true;
+                self.stale_blocks.push(block as u32);
+            }
         }
     }
 
     /// Recomputes every dirty group, fanning shards out over up to
-    /// `threads` workers (static contiguous assignment). Returns refresh
-    /// telemetry; thread count never changes a single cache bit.
+    /// `threads` workers (static contiguous assignment), then rescans the
+    /// stale blocks. Returns refresh telemetry; thread count never changes
+    /// a single cache bit.
     pub fn refresh(
         &mut self,
         groups: &[FactGroup],
@@ -259,39 +313,42 @@ impl ShardCaches {
         threads: usize,
     ) -> RefreshStats {
         let groups_recomputed: usize = self.slabs.iter().map(|s| s.dirty.len()).sum();
-        if groups_recomputed == 0 {
-            return RefreshStats { groups_recomputed: 0, shard_tasks: 0 };
-        }
         let shard_tasks = self.slabs.iter().filter(|s| !s.dirty.is_empty()).count();
-        let threads = if groups_recomputed < MIN_PARALLEL_REFRESH_GROUPS { 1 } else { threads };
-        let plan = &self.plan;
-        for_each_slab(&mut self.slabs, threads, |shard, slab| {
-            if !slab.dirty.is_empty() {
-                slab.refresh(plan.members(shard), groups, trust, prior);
-            }
-        });
+        if groups_recomputed > 0 {
+            let threads = if groups_recomputed < MIN_PARALLEL_REFRESH_GROUPS { 1 } else { threads };
+            let plan = &self.plan;
+            for_each_slab(&mut self.slabs, threads, |shard, slab| {
+                if !slab.dirty.is_empty() {
+                    slab.refresh(plan.members(shard), groups, trust, prior);
+                }
+            });
+        }
+        self.rescan_blocks(groups);
         RefreshStats { groups_recomputed, shard_tasks }
     }
 
-    /// Scans every shard for its polarity winners (the ΔH self-term
-    /// argmax inputs), fanning out over up to `threads` workers. The
-    /// returned vector is in shard order, ready for the deterministic
-    /// merge fold.
-    pub fn polarity_scans(&self, groups: &[FactGroup], threads: usize) -> Vec<ShardScan> {
-        let threads = if self.plan.n_groups() < MIN_PARALLEL_SCAN_GROUPS { 1 } else { threads };
-        par::map_indexed(self.n_shards(), threads, |s| self.scan_shard(s, groups))
+    /// Rescans every stale block from the caches and clears the stale list.
+    fn rescan_blocks(&mut self, groups: &[FactGroup]) {
+        let stale = std::mem::take(&mut self.stale_blocks);
+        for &block in &stale {
+            let block = block as usize;
+            self.blocks[block] = self.scan_block(block, groups);
+            self.stale_flags[block] = false;
+        }
+        self.stale_blocks = stale;
+        self.stale_blocks.clear();
     }
 
-    /// Sequential scan of one shard, ascending member order.
-    fn scan_shard(&self, shard: usize, groups: &[FactGroup]) -> ShardScan {
-        let slab = &self.slabs[shard];
-        let mut scan = ShardScan::default();
-        for (slot, &gi) in self.plan.members(shard).iter().enumerate() {
-            let g = &groups[gi];
+    /// Sequential scan of one block, ascending canonical order.
+    fn scan_block(&self, block: usize, groups: &[FactGroup]) -> BlockScan {
+        let start = block * BLOCK_WIDTH;
+        let end = (start + BLOCK_WIDTH).min(groups.len());
+        let mut scan = BlockScan::default();
+        for (gi, g) in groups.iter().enumerate().take(end).skip(start) {
             if g.facts.is_empty() {
                 continue;
             }
-            let p = slab.probs[slot];
+            let p = self.probability(gi);
             // §5.1 strict partition: boundary groups (and NaN) join
             // neither part.
             let positive = match p.partial_cmp(&0.5) {
@@ -302,18 +359,47 @@ impl ShardCaches {
             scan.candidates += 1;
             let cand = GroupPick {
                 gi,
-                score: -slab.entropies[slot],
+                score: -self.entropy(gi),
                 sig_len: g.signature.len(),
                 size: g.facts.len(),
             };
             let target = if positive { &mut scan.pos } else { &mut scan.neg };
-            // Strict comparison keeps the earliest (lowest-index) member
-            // on ties, matching the sequential ascending scan.
+            // Strict comparison keeps the earliest (lowest-index) group on
+            // ties, matching the sequential ascending scan.
             if target.is_none_or(|b| lex_better(&cand, &b)) {
                 *target = Some(cand);
             }
         }
         scan
+    }
+
+    /// Number of selection blocks, kept or not.
+    pub fn n_blocks(&self) -> usize {
+        self.plan.n_groups().div_ceil(BLOCK_WIDTH)
+    }
+
+    /// The self-term argmax inputs: the best positive and best negative
+    /// group over every live group, and the number of groups classified
+    /// into either part — the block winners folded in ascending block
+    /// order. Blocks that are not kept are scanned here.
+    pub fn polarity_winners(
+        &self,
+        groups: &[FactGroup],
+    ) -> (Option<GroupPick>, Option<GroupPick>, u64) {
+        let mut pos = None;
+        let mut neg = None;
+        let mut candidates = 0u64;
+        let mut fold = |block: BlockScan| {
+            merge_pick(&mut pos, block.pos);
+            merge_pick(&mut neg, block.neg);
+            candidates += block.candidates;
+        };
+        if self.blocks.is_empty() {
+            (0..self.n_blocks()).for_each(|block| fold(self.scan_block(block, groups)));
+        } else {
+            self.blocks.iter().copied().for_each(fold);
+        }
+        (pos, neg, candidates)
     }
 }
 

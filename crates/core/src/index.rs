@@ -9,10 +9,11 @@
 //!
 //! Postings are built once from the canonical group list; groups keep their
 //! index for the lifetime of a run (they drain to empty rather than being
-//! removed), so a posting's group id stays valid. Owners may call
-//! [`SourceGroupIndex::retain_groups`] after evaluation rounds to compact
-//! drained groups out of the posting lists — callers still defensively skip
-//! groups with no remaining members.
+//! removed), so a posting's group id stays valid. When groups drain, owners
+//! call [`SourceGroupIndex::remove_groups`] to drop their postings: a
+//! group's signature names exactly the sources holding one, so compaction
+//! costs the degrees of those sources, not a pass over every posting.
+//! Callers still defensively skip groups with no remaining members.
 
 use crate::groups::FactGroup;
 use crate::ids::SourceId;
@@ -74,21 +75,35 @@ impl SourceGroupIndex {
         self.postings.iter().map(Vec::len).sum()
     }
 
-    /// Drops every posting whose group fails the `live` predicate,
-    /// preserving the per-source sort order, and returns the number of
-    /// postings removed.
+    /// Drops the postings of the drained groups `dead` (indices into the
+    /// `groups` list the index was built from), preserving the per-source
+    /// sort order, and returns the number of postings removed.
     ///
-    /// Groups drain monotonically over an IncEstimate run, so callers can
-    /// compact after each evaluation round and keep posting walks
-    /// proportional to the *live* degree instead of the build-time degree.
-    /// Dead groups contribute nothing to spillover or dirty tracking, so
-    /// removal never changes results. The removal count feeds compaction
-    /// telemetry.
-    pub fn retain_groups(&mut self, mut live: impl FnMut(usize) -> bool) -> usize {
+    /// Each dead group's signature names the sources holding its postings,
+    /// so only those lists are visited, each in one merge pass —
+    /// O(Σ|sig| log Σ|sig| + Σ deg) over the affected sources. Groups drain
+    /// monotonically over an IncEstimate run, so compacting each round's
+    /// drained groups keeps posting walks proportional to the *live*
+    /// degree. Dead groups contribute nothing to spillover or dirty
+    /// tracking, so removal never changes results. The removal count feeds
+    /// compaction telemetry.
+    pub fn remove_groups(&mut self, groups: &[FactGroup], dead: &[usize]) -> usize {
+        let mut pairs: Vec<(usize, usize)> = dead
+            .iter()
+            .flat_map(|&gi| groups[gi].signature.iter().map(move |sv| (sv.source.index(), gi)))
+            .collect();
+        pairs.sort_unstable();
         let mut removed = 0;
-        for posts in &mut self.postings {
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let posts = &mut self.postings[run[0].0];
             let before = posts.len();
-            posts.retain(|p| live(p.group));
+            let mut k = 0;
+            posts.retain(|p| {
+                while k < run.len() && run[k].1 < p.group {
+                    k += 1;
+                }
+                !(k < run.len() && run[k].1 == p.group)
+            });
             removed += before - posts.len();
         }
         removed
@@ -184,19 +199,28 @@ mod tests {
     }
 
     #[test]
-    fn retain_groups_drops_postings_in_order() {
+    fn remove_groups_drops_exactly_the_dead_postings_in_order() {
         let groups = sample_groups();
         let mut index = SourceGroupIndex::build(&groups, 3);
-        // Drop the {s0 T, s1 T} group (first posting of both sources).
-        let dead = index.groups_of(sid(0))[0].group;
-        let removed = index.retain_groups(|g| g != dead);
-        assert_eq!(removed, 2);
+        // Drop the {s0 T, s1 T} group (first posting of both sources) and
+        // the {s1 T} group (s1's last posting).
+        let first = index.groups_of(sid(0))[0].group;
+        let last = index.groups_of(sid(1)).last().unwrap().group;
+        let before = index.n_postings();
+        let removed = index.remove_groups(&groups, &[first, last]);
+        assert_eq!(removed, 3);
+        assert_eq!(index.n_postings(), before - 3);
         for s in 0..3 {
             let posts = index.groups_of(sid(s));
-            assert!(posts.iter().all(|p| p.group != dead));
+            assert!(posts.iter().all(|p| p.group != first && p.group != last));
             assert!(posts.windows(2).all(|w| w[0].group < w[1].group));
         }
-        assert_eq!(index.n_postings(), 2 + 1);
+        let rebuilt: Vec<usize> = index.touched_groups([sid(0), sid(1)]);
+        let expected: Vec<usize> = (0..groups.len())
+            .filter(|&g| g != first && g != last && !groups[g].signature.is_empty())
+            .collect();
+        assert_eq!(rebuilt, expected);
+        assert_eq!(index.remove_groups(&groups, &[]), 0);
     }
 
     #[test]

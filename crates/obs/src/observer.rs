@@ -27,7 +27,8 @@ pub enum Span {
     Evaluate,
     /// One dirty-cache refresh (`refresh_trust_and_cache`).
     CacheRefresh,
-    /// One merge of per-shard scan winners into the global ΔH argmax.
+    /// One fold of the per-block selection winners into the global ΔH
+    /// argmax.
     ShardMerge,
     /// One fixpoint iteration of a convergence-loop corroborator.
     Iteration,
