@@ -59,16 +59,14 @@
 //! that remains in one final round, exactly like the walkthrough's third
 //! round.
 
-use std::sync::atomic::Ordering;
-
 use corroborate_core::entropy::binary_entropy;
 use corroborate_core::groups::FactGroup;
 use corroborate_core::ids::{FactId, SourceId};
 use corroborate_core::vote::Vote;
 use corroborate_obs::{Observer, SelectionRecord, Span, TierTally};
 
-use super::shard::{lex_better, GroupPick};
-use super::{par, IncState, SelectionStrategy, OBS_EMIT};
+use super::cache::{lex_better, GroupPick};
+use super::{IncState, SelectionStrategy, OBS_EMIT};
 
 /// Which terms of the collective-entropy objective rank the fact groups.
 /// See the module-level documentation for the full derivation.
@@ -494,7 +492,7 @@ fn spillover_pruned<O: Observer>(
         });
         if ub < cut {
             if O::ENABLED && OBS_EMIT {
-                tally.walk_bound.fetch_add(1, Ordering::Relaxed);
+                tally.walk_bound.update(|n| n + 1);
             }
             return f64::NAN;
         }
@@ -515,7 +513,7 @@ fn spillover_pruned<O: Observer>(
         });
         if O::ENABLED && OBS_EMIT {
             let tier = if abandoned { &tally.early_abandon } else { &tally.exact };
-            tier.fetch_add(1, Ordering::Relaxed);
+            tier.update(|n| n + 1);
         }
         if abandoned {
             f64::NAN
@@ -590,10 +588,7 @@ fn linear_prescreen<O: Observer>(
 /// Block size for the adaptive-bar loop: small enough that the bar rises
 /// quickly — each block's best exact score becomes the next block's cut,
 /// and when the linear ranking misorders a part the bar still converges
-/// within a few blocks — at the cost of [`par::map_scores`] batches below
-/// its parallel threshold (small blocks run sequentially whatever the
-/// thread count; the walk tiers inside a block are where the time goes,
-/// and pruning more than pays for the lost fan-out).
+/// within a few blocks.
 const PRUNE_BLOCK: usize = 8;
 
 /// Scores one part under a spillover-bearing mode with adaptive-bar bound
@@ -646,7 +641,7 @@ fn scores_pruned<O: Observer>(
     let m = order[0];
     let mut bar = spillover(state, part[m]) + self_term(part[m]);
     if O::ENABLED && OBS_EMIT {
-        tally.exact.fetch_add(1, Ordering::Relaxed);
+        tally.exact.update(|n| n + 1);
     }
     // Safety margin: the bounds dominate the exact score in the reals, but
     // all are rounded sums — never let float noise prune an exact tie.
@@ -656,18 +651,19 @@ fn scores_pruned<O: Observer>(
     let mut scores = vec![f64::NAN; part.len()];
     scores[m] = bar;
     for block in order[1..].chunks(PRUNE_BLOCK) {
-        let block_scores = par::map_scores(block, state.threads(), |k| {
-            if lins[k] < cut {
+        // The whole block is scored against the cut frozen at its entry.
+        let block_cut = cut;
+        for &k in block {
+            let s = if lins[k] < block_cut {
                 if O::ENABLED && OBS_EMIT {
-                    tally.prescreen.fetch_add(1, Ordering::Relaxed);
+                    tally.prescreen.update(|n| n + 1);
                 }
-                return f64::NAN;
-            }
-            let gi = part[k];
-            let st = self_term(gi);
-            spillover_pruned(state, gi, t, cut - st, tally) + st
-        });
-        for (&k, &s) in block.iter().zip(&block_scores) {
+                f64::NAN
+            } else {
+                let gi = part[k];
+                let st = self_term(gi);
+                spillover_pruned(state, gi, t, block_cut - st, tally) + st
+            };
             scores[k] = s;
             if s > bar {
                 bar = s;
@@ -751,9 +747,7 @@ impl SelectionStrategy for IncEstHeu {
             // Spillover-bearing modes: strict §5.1 partition of the live
             // groups (probabilities come from the per-group cache —
             // nothing is recomputed here), then the bound-pruned scorer
-            // over each part. `par::map_scores` fills score vectors
-            // positionally, so the argmax sees the same scores in the same
-            // order whatever the thread count.
+            // over each part.
             let mut positive = Vec::new();
             let mut negative = Vec::new();
             for (gi, g) in groups.iter().enumerate() {
@@ -793,7 +787,7 @@ impl SelectionStrategy for IncEstHeu {
             if mode == DeltaHMode::SelfTerm {
                 // Self-term scores are exact O(1) cache reads: every
                 // candidate counts as exact-scored, no pruning tiers exist.
-                tally.exact.fetch_add(candidates, Ordering::Relaxed);
+                tally.exact.update(|n| n + candidates);
             }
             let obs = state.observer();
             tally.flush_to(obs);

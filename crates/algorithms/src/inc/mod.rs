@@ -33,24 +33,25 @@
 //! (the first refresh visits every source), recomputes the cached
 //! probabilities of the groups posted on by sources whose trust changed,
 //! and — for a strategy that reads them — rescans only the blocks holding
-//! a recomputed, shrunk or drained group (see the `shard` module). The
+//! a recomputed, shrunk or drained group (see the `cache` module). The
 //! session records the trust trajectory as a change log of the re-derived
 //! sources. Every shortcut is exact: results are bit-identical to
 //! re-deriving everything each round.
+//!
+//! Every round runs on the calling thread: a round selects from the trust
+//! snapshot the previous round produced, so rounds cannot overlap, and one
+//! round's cache refresh is too small to split across threads.
 
+mod cache;
 mod heuristic;
 #[cfg(test)]
 mod naive_ref;
-mod par;
 mod prob_select;
 mod session;
-mod shard;
 
 pub use heuristic::{DeltaHMode, IncEstHeu};
-pub use par::{map_indexed, resolve_threads};
 pub use prob_select::IncEstPS;
 pub use session::{IncEstimateSession, StepReport};
-pub use shard::{ShardConfig, DEFAULT_SHARDS};
 
 use corroborate_core::groups::{group_by_signature, FactGroup};
 use corroborate_core::index::SourceGroupIndex;
@@ -83,21 +84,42 @@ pub struct IncEstimateConfig {
     /// Figure 2(b) shows. Set to 0 for the raw §2.3-walkthrough
     /// arithmetic.
     pub prior_strength: f64,
-    /// Shard/thread layout of the engine core. The default is the
-    /// parallel configuration (auto shards, auto threads); every setting
-    /// produces bit-identical results — the shard partition and merge are
-    /// deterministic and seed-independent — so this only tunes wall-clock.
+    /// Kept only so the benchmark harness under `ledger/` still builds; it
+    /// has a single value and changes nothing.
     pub shard: ShardConfig,
+}
+
+/// Kept only because the benchmark harness under `ledger/` names it: a
+/// field-less type whose one value is both [`ShardConfig::sequential`] and
+/// the default. The engine is unpartitioned and single-threaded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShardConfig;
+
+impl ShardConfig {
+    /// The only value.
+    pub fn sequential() -> Self {
+        Self
+    }
+}
+
+/// Kept only because the benchmark harness under `ledger/` prints it as a
+/// run fact: the engine has one partition.
+pub const DEFAULT_SHARDS: usize = 1;
+
+/// Kept only because the benchmark harness under `ledger/` prints it as a
+/// run fact: `0` reports the host's parallelism (`available_parallelism`,
+/// 1 when unknown); any other value is returned as is. The engine reads
+/// neither.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
+    }
+    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 impl Default for IncEstimateConfig {
     fn default() -> Self {
-        Self {
-            initial_trust: 0.9,
-            voteless_prior: 0.9,
-            prior_strength: 0.1,
-            shard: ShardConfig::default(),
-        }
+        Self { initial_trust: 0.9, voteless_prior: 0.9, prior_strength: 0.1, shard: ShardConfig }
     }
 }
 
@@ -161,17 +183,12 @@ pub struct IncState<'a, O: Observer = NoopObserver> {
     /// removed in the round it drains, so every list holds exactly the
     /// source's live groups.
     index: SourceGroupIndex,
-    /// Sharded per-group caches (Corrob probability, entropy, dirty
-    /// tracking), partitioned by signature hash: a round only recomputes
-    /// the groups voted on by sources whose trust value actually moved —
-    /// O(votes of changed sources) instead of O(total votes) — and the
-    /// recomputation fans out over shards on scoped worker threads. Also
-    /// keeps the per-block polarity winners the self-term selection folds,
-    /// when the strategy reads them.
-    caches: shard::ShardCaches,
-    /// Resolved worker-thread count for shard fan-out (never affects
-    /// results, only wall-clock).
-    threads: usize,
+    /// Per-group caches (Corrob probability, entropy, dirty tracking): a
+    /// round only recomputes the groups voted on by sources whose trust
+    /// value actually moved — O(votes of changed sources) instead of
+    /// O(total votes). Also keeps the per-block polarity winners the
+    /// self-term selection folds, when the strategy reads them.
+    caches: cache::GroupCaches,
 }
 
 impl<'a> IncState<'a> {
@@ -206,18 +223,8 @@ impl<'a, O: Observer> IncState<'a, O> {
         }
         let index = SourceGroupIndex::build(&groups, dataset.n_sources());
         let trust = TrustSnapshot::uniform(dataset.n_sources(), config.initial_trust)?;
-        let caches = shard::ShardCaches::build(
-            &groups,
-            &trust,
-            config.voteless_prior,
-            config.shard.resolved_shards(),
-            keep_block_winners,
-        );
-        let threads = config.shard.resolved_threads();
-        if O::ENABLED && OBS_EMIT {
-            obs.add(Counter::Shards, caches.n_shards() as u64);
-            obs.add(Counter::ShardImbalance, caches.plan().imbalance() as u64);
-        }
+        let caches =
+            cache::GroupCaches::build(&groups, &trust, config.voteless_prior, keep_block_winners);
         Ok(Self {
             obs,
             dataset,
@@ -237,7 +244,6 @@ impl<'a, O: Observer> IncState<'a, O> {
             group_of,
             index,
             caches,
-            threads,
         })
     }
 
@@ -366,22 +372,11 @@ impl<'a, O: Observer> IncState<'a, O> {
         self.caches.entropy(group)
     }
 
-    /// Effective shard count of the partitioned engine caches (after
-    /// auto-resolution and group-count clamping).
-    pub fn n_shards(&self) -> usize {
-        self.caches.n_shards()
-    }
-
-    /// Resolved worker-thread count for shard fan-out.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Best positive and best negative live group under the self-term ΔH
     /// order, and the number of groups in either part — the per-block
-    /// winners folded in canonical order (see [`shard`]). Private to
+    /// winners folded in canonical order (see [`cache`]). Private to
     /// `inc`, used by the heuristic strategy.
-    fn polarity_winners(&self) -> (Option<shard::GroupPick>, Option<shard::GroupPick>, u64) {
+    fn polarity_winners(&self) -> (Option<cache::GroupPick>, Option<cache::GroupPick>, u64) {
         self.caches.polarity_winners(&self.groups)
     }
 
@@ -474,7 +469,7 @@ impl<'a, O: Observer> IncState<'a, O> {
     /// refresh derived from them, so skipping it is exact too.
     fn refresh_trust_and_cache(&mut self, drained: &[usize]) {
         let obs = self.obs;
-        traced(obs, Span::CacheRefresh, self.caches.n_shards() as u64, || {
+        traced(obs, Span::CacheRefresh, self.moved.len() as u64, || {
             let compacted = self.index.remove_groups(&self.groups, drained);
             std::mem::swap(&mut self.moved, &mut self.rederived);
             self.moved.clear();
@@ -489,22 +484,13 @@ impl<'a, O: Observer> IncState<'a, O> {
                 }
                 self.trust.set(s, updated);
             }
-            // Shard-parallel recompute of the dirty entries: each slab is
-            // refreshed by exactly one worker, and entries are independent,
-            // so the refreshed caches are bit-identical for any thread
-            // count (including 1).
-            let stats = self.caches.refresh(
-                &self.groups,
-                &self.trust,
-                self.config.voteless_prior,
-                self.threads,
-            );
+            let recomputed =
+                self.caches.refresh(&self.groups, &self.trust, self.config.voteless_prior);
             if O::ENABLED && OBS_EMIT {
                 obs.add(Counter::PostingsCompacted, compacted as u64);
-                if stats.groups_recomputed > 0 {
+                if recomputed > 0 {
                     obs.add(Counter::CacheRefreshes, 1);
-                    obs.add(Counter::GroupsRecomputed, stats.groups_recomputed as u64);
-                    obs.add(Counter::ShardTasks, stats.shard_tasks as u64);
+                    obs.add(Counter::GroupsRecomputed, recomputed as u64);
                 }
             }
         });
@@ -897,5 +883,12 @@ mod tests {
         assert_eq!(state.projected_trust(sid(0), 1, 2), 0.5);
         assert_eq!(state.remaining_count(), 12);
         assert_eq!(state.remaining_groups().count(), 10); // r7=r8, r4=r10 merge
+    }
+
+    #[test]
+    fn resolve_threads_honours_explicit_requests() {
+        assert_eq!(resolve_threads(1), 1);
+        assert_eq!(resolve_threads(6), 6);
+        assert!(resolve_threads(0) >= 1);
     }
 }

@@ -172,8 +172,7 @@ pub(super) fn select(state: &IncState<'_>, mode: DeltaHMode) -> Vec<FactId> {
 #[cfg(test)]
 mod tests {
     use super::super::{
-        heuristic, IncEstHeu, IncEstimate, IncEstimateConfig, IncEstimateSession,
-        SelectionStrategy, ShardConfig,
+        heuristic, IncEstHeu, IncEstimate, IncEstimateConfig, IncEstimateSession, SelectionStrategy,
     };
     use super::*;
     use corroborate_core::groups::group_by_signature;
@@ -288,43 +287,6 @@ mod tests {
             proptest::collection::vec(0u8..3, n_sources * n_facts)
                 .prop_map(move |cells| grid_dataset(n_sources, n_facts, &cells))
         })
-    }
-
-    /// Shard counts the invariance property sweeps: degenerate (1), even
-    /// (2, 64 — more shards than most sampled datasets have groups, so the
-    /// clamp path is exercised too), and prime (7, for uneven partitions).
-    fn shard_count_strategy() -> impl Strategy<Value = usize> {
-        (0usize..4).prop_map(|i| [1usize, 2, 7, 64][i])
-    }
-
-    /// Full runs must be bit-identical whatever the shard/thread
-    /// configuration: the partition only re-orders independent per-shard
-    /// work and the fixed-order merge reproduces the sequential argmax.
-    fn assert_shard_invariant(ds: &Dataset, mode: DeltaHMode, shards: usize, threads: usize) {
-        let sequential = IncEstimate::with_config(
-            IncEstHeu::with_mode(mode),
-            IncEstimateConfig { shard: ShardConfig::sequential(), ..Default::default() },
-        )
-        .corroborate(ds)
-        .unwrap();
-        let sharded = IncEstimate::with_config(
-            IncEstHeu::with_mode(mode),
-            IncEstimateConfig { shard: ShardConfig { shards, threads }, ..Default::default() },
-        )
-        .corroborate(ds)
-        .unwrap();
-        assert_eq!(sequential.rounds(), sharded.rounds(), "{mode:?}/{shards}: rounds diverge");
-        for (a, b) in sequential.probabilities().iter().zip(sharded.probabilities()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{mode:?}/{shards}: probabilities diverge");
-        }
-        for (a, b) in sequential.trust().values().iter().zip(sharded.trust().values()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{mode:?}/{shards}: trust diverges");
-        }
-        assert_eq!(
-            sequential.decisions().labels(),
-            sharded.decisions().labels(),
-            "{mode:?}/{shards}: decisions diverge"
-        );
     }
 
     /// One planned seed, applied before round `round` (0 = before the
@@ -625,17 +587,6 @@ mod tests {
         fn observer_transparency(ds in dataset_strategy()) {
             for mode in MODES {
                 assert_observer_transparent(&ds, mode);
-            }
-        }
-
-        #[test]
-        fn shard_count_invariance(
-            ds in dataset_strategy(),
-            shards in shard_count_strategy(),
-            threads in 1usize..5,
-        ) {
-            for mode in MODES {
-                assert_shard_invariant(&ds, mode, shards, threads);
             }
         }
     }

@@ -83,7 +83,7 @@ pub(crate) const OBS_EMIT: bool = cfg!(feature = "obs");
 /// Times `f` under `span` when both the observer and the `obs` feature are
 /// enabled; otherwise calls it directly with zero overhead. Also emits
 /// hierarchical begin/end trace events carrying `payload` (round index,
-/// fact count, shard count, …) so trace-enabled observers capture the
+/// fact count, re-derived sources, …) so trace-enabled observers capture the
 /// parent/child decomposition of the work.
 #[inline]
 pub(crate) fn traced<O: obs::Observer, R>(

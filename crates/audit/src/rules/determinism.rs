@@ -15,7 +15,6 @@ use crate::workspace::{SourceFile, Workspace};
 /// Path prefixes whose non-test code must be deterministic.
 pub const SCOPE: &[&str] = &[
     "crates/algorithms/src/",
-    "crates/core/src/shard.rs",
     "crates/testkit/src/golden.rs",
     "crates/testkit/src/oracle.rs",
     "crates/testkit/src/sim.rs",

@@ -25,7 +25,6 @@ use std::time::Instant;
 
 use corroborate_algorithms::inc::{
     resolve_threads, DeltaHMode, IncEstHeu, IncEstimate, IncState, SelectionStrategy,
-    DEFAULT_SHARDS,
 };
 use corroborate_algorithms::obs::{
     chrome_trace_json, Json, Observer, RecordingObserver, TraceSnapshot,
@@ -262,8 +261,7 @@ fn main() {
     let threads = resolve_threads(0);
     let mut rep = Reporter::from_env("heu_scaling");
     rep.say(format!(
-        "IncEstHeu scaling bench (threads: {threads}, shards: {DEFAULT_SHARDS}, obs feature: {}, \
-         quick: {quick})",
+        "IncEstHeu scaling bench (threads: {threads}, obs feature: {}, quick: {quick})",
         cfg!(feature = "obs")
     ));
     rep.blank();
@@ -273,9 +271,8 @@ fn main() {
     config.insert("n_inaccurate", 2i64);
     config.insert("eta", 0.02);
     config.insert("seed", 42i64);
-    config.insert("shards", DEFAULT_SHARDS as i64);
-    // Machine-dependent (scheduling only — results are shard-count and
-    // thread-count invariant); the golden manifest ignores `config.threads`.
+    // The host's parallelism, a machine fact (the engine runs on one
+    // thread); the golden manifest ignores `config.threads`.
     config.insert("threads", threads as i64);
     rep.raw("config", config.clone());
 

@@ -38,7 +38,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use corroborate_algorithms::inc::{resolve_threads, DEFAULT_SHARDS};
+use corroborate_algorithms::inc::resolve_threads;
 use corroborate_bench::Reporter;
 use corroborate_core::ids::{FactId, SourceId};
 use corroborate_core::vote::Vote;
@@ -372,10 +372,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = resolve_threads(0);
     let mut rep = Reporter::from_env("serve_throughput");
-    rep.say(format!(
-        "corroborate-serve throughput bench (threads: {threads}, shards: {DEFAULT_SHARDS}, \
-         quick: {quick})"
-    ));
+    rep.say(format!("corroborate-serve throughput bench (threads: {threads}, quick: {quick})"));
     rep.blank();
 
     let mut config = Json::object();
@@ -384,7 +381,6 @@ fn main() {
     config.insert("n_inaccurate", 2i64);
     config.insert("eta", 0.02);
     config.insert("seed", 42i64);
-    config.insert("shards", DEFAULT_SHARDS as i64);
     config.insert("threads", threads as i64);
     rep.raw("config", config.clone());
 

@@ -22,8 +22,6 @@
 //! - [`groups`] — fact groups keyed by vote signature (§5.1);
 //! - [`index`] — the source→group inverted index behind IncEstimate's
 //!   incremental scoring engine;
-//! - [`shard`] — the deterministic signature-hash partition of fact groups
-//!   behind the sharded parallel engine;
 //! - [`metrics`] / [`stats`] — precision/recall/accuracy/F1, trust-score
 //!   MSE (Equation 10), Hubdub error counts, and McNemar significance;
 //! - [`corroborator`] — the [`Corroborator`](corroborator::Corroborator)
@@ -65,7 +63,6 @@ pub mod io;
 pub mod metrics;
 pub mod questions;
 pub mod scoring;
-pub mod shard;
 pub mod stats;
 pub mod trust;
 pub mod truth;

@@ -33,12 +33,6 @@ pub enum Counter {
     GroupsRecomputed,
     /// Postings dropped from the source→group index by compaction.
     PostingsCompacted,
-    /// Effective shard count of the engine's signature-hash partition.
-    Shards,
-    /// Shard load spread (`max_load − min_load`) of the partition.
-    ShardImbalance,
-    /// Per-shard refresh/rescore tasks executed by the sharded engine.
-    ShardTasks,
     /// HTTP requests accepted by the corroboration service.
     HttpRequests,
     /// HTTP responses with a 2xx status.
@@ -94,7 +88,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in report order.
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 35] = [
         Counter::Rounds,
         Counter::Iterations,
         Counter::FactsEvaluated,
@@ -105,9 +99,6 @@ impl Counter {
         Counter::CacheRefreshes,
         Counter::GroupsRecomputed,
         Counter::PostingsCompacted,
-        Counter::Shards,
-        Counter::ShardImbalance,
-        Counter::ShardTasks,
         Counter::HttpRequests,
         Counter::HttpResponses2xx,
         Counter::HttpResponses4xx,
@@ -148,9 +139,6 @@ impl Counter {
             Counter::CacheRefreshes => "cache_refreshes",
             Counter::GroupsRecomputed => "groups_recomputed",
             Counter::PostingsCompacted => "postings_compacted",
-            Counter::Shards => "shards",
-            Counter::ShardImbalance => "shard_imbalance",
-            Counter::ShardTasks => "shard_tasks",
             Counter::HttpRequests => "http_requests",
             Counter::HttpResponses2xx => "http_responses_2xx",
             Counter::HttpResponses4xx => "http_responses_4xx",

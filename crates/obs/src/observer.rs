@@ -7,7 +7,7 @@
 //! counters, span latencies, and per-round / per-iteration records — for a
 //! [`RunReport`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -365,19 +365,18 @@ impl Observer for RecordingObserver {
 
 /// Per-call pruning-tier tally for one scored partition.
 ///
-/// `scores_pruned` classifies every candidate into exactly one tier; the
-/// tally is atomic because exact scoring may run on scoped worker threads
-/// when `ShardConfig::threads` resolves above one.
+/// `scores_pruned` classifies every candidate into exactly one tier. The
+/// engine scores on one thread, so the tiers are plain cells.
 #[derive(Debug, Default)]
 pub struct TierTally {
     /// Candidates killed by the linear prescreen.
-    pub prescreen: AtomicU64,
+    pub prescreen: Cell<u64>,
     /// Candidates killed by the walk bound.
-    pub walk_bound: AtomicU64,
+    pub walk_bound: Cell<u64>,
     /// Candidates abandoned mid-exact-scoring.
-    pub early_abandon: AtomicU64,
+    pub early_abandon: Cell<u64>,
     /// Candidates scored exactly to completion.
-    pub exact: AtomicU64,
+    pub exact: Cell<u64>,
 }
 
 impl TierTally {
@@ -388,12 +387,7 @@ impl TierTally {
 
     /// Current values as `(prescreen, walk_bound, early_abandon, exact)`.
     pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.prescreen.load(Ordering::Relaxed),
-            self.walk_bound.load(Ordering::Relaxed),
-            self.early_abandon.load(Ordering::Relaxed),
-            self.exact.load(Ordering::Relaxed),
-        )
+        (self.prescreen.get(), self.walk_bound.get(), self.early_abandon.get(), self.exact.get())
     }
 
     /// Sum over all tiers — equals the candidate count when conservation
@@ -483,10 +477,10 @@ mod tests {
     #[test]
     fn tally_conserves_and_flushes() {
         let tally = TierTally::new();
-        tally.prescreen.fetch_add(3, Ordering::Relaxed);
-        tally.walk_bound.fetch_add(2, Ordering::Relaxed);
-        tally.early_abandon.fetch_add(1, Ordering::Relaxed);
-        tally.exact.fetch_add(4, Ordering::Relaxed);
+        tally.prescreen.set(3);
+        tally.walk_bound.set(2);
+        tally.early_abandon.set(1);
+        tally.exact.set(4);
         assert_eq!(tally.total(), 10);
         let obs = RecordingObserver::new();
         tally.flush_to(&obs);

@@ -3,7 +3,7 @@
 //! A [`TraceBuffer`] retains the most recent `capacity` [`TraceEvent`]s —
 //! begin/end/instant markers carrying a monotonic timestamp, the [`Span`]
 //! kind, a span id, the parent span id, a thread index, and a caller-chosen
-//! `u64` payload (epoch seq, shard index, batch size, …). Writers never
+//! `u64` payload (epoch seq, segment id, batch size, …). Writers never
 //! block and never allocate: one `fetch_add` claims a ticket, a per-slot
 //! sequence word guards the five data words, and wrap-around simply
 //! overwrites the oldest events (counted as dropped). Readers take a
@@ -85,7 +85,7 @@ pub struct TraceEvent {
     pub parent: u64,
     /// Dense per-process thread index (first tracing thread is 1).
     pub thread: u64,
-    /// Caller-chosen payload (epoch seq, shard index, batch size, …).
+    /// Caller-chosen payload (epoch seq, segment id, batch size, …).
     pub payload: u64,
 }
 

@@ -40,10 +40,9 @@ use std::collections::BTreeMap;
 use std::iter::repeat_n;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use corroborate_algorithms::inc::{map_indexed, IncEstHeu, IncEstimateConfig, IncEstimateSession};
+use corroborate_algorithms::inc::{IncEstHeu, IncEstimateConfig, IncEstimateSession};
 use corroborate_core::prelude::*;
 use corroborate_core::scoring::corrob_probability_or;
-use corroborate_core::shard::signature_shard;
 use corroborate_core::vote::SourceVote;
 
 use crate::cow::CowVec;
@@ -61,12 +60,6 @@ pub struct EpochConfig {
     /// `0.0` makes every epoch full; `> 1.0` never escalates.
     pub full_recompute_threshold: f64,
 }
-
-/// Below this many dirty facts an incremental rescore stays sequential:
-/// per-fact Corrob scoring is tens of nanoseconds, so thread spawn
-/// overhead dominates small batches. Scheduling only — results are
-/// identical either way.
-const MIN_PARALLEL_RESCORE_FACTS: usize = 1024;
 
 impl Default for EpochConfig {
     fn default() -> Self {
@@ -98,11 +91,6 @@ pub struct EpochStats {
     pub groups_invalidated: usize,
     /// IncEstimate rounds run (0 for incremental epochs).
     pub rounds: usize,
-    /// Non-empty signature-hash shards an incremental epoch rescanned
-    /// (0 for full epochs — the engine core owns its own sharding there).
-    /// A mutation burst confined to a few sources touches only the shards
-    /// owning their groups, so this stays far below the shard count.
-    pub shards_scanned: usize,
 }
 
 /// An immutable, atomically-published verdict snapshot.
@@ -400,7 +388,6 @@ impl EpochEngine {
 
         let mut dataset = OnceLock::new();
         let facts_rescored;
-        let mut shards_scanned = 0;
         if full {
             let materialized = Arc::new(self.delta.materialize()?);
             let result =
@@ -417,67 +404,28 @@ impl EpochEngine {
             self.needs_full = false;
             dataset = OnceLock::from(materialized);
         } else {
-            // Exact Corrob scores under the cached (stale) trust snapshot,
-            // sharded by the same stable signature hash the engine core
-            // partitions on: a mutated source dirties only the facts whose
-            // signatures it appears in, so the rescore touches only the
-            // shards owning those groups. Each shard scores its facts
-            // independently into a positional output vector and the
-            // scatter back walks shards in fixed order — bit-identical to
-            // the sequential per-fact loop whatever the thread count.
+            // Exact Corrob scores under the cached (stale) trust snapshot.
+            // A score is a pure function of the signature, so facts sharing
+            // one (common under bursty workloads where one source dirties a
+            // whole co-vote group) are scored once, when first seen, and
+            // the score is scattered to every member: the published bits
+            // match the undeduplicated per-fact loop.
             facts_rescored = dirty.len();
-            // A Corrob score is a pure function of the signature, so facts
-            // sharing one (common under bursty workloads where one source
-            // dirties a whole co-vote group) are scored once and the result
-            // scattered to every member. The dedup map is lookup-only;
-            // `uniq` keeps first-seen order, so scoring order — and hence
-            // the published bits — match the undeduped per-fact loop.
+            let prior = self.config.engine.voteless_prior;
             let mut seen: BTreeMap<&[(usize, Vote)], usize> = BTreeMap::new();
-            let mut signatures: Vec<Vec<SourceVote>> = Vec::new();
-            let mut group_of: Vec<usize> = Vec::with_capacity(dirty.len());
+            let mut sig_score: Vec<f64> = Vec::new();
+            let mut signature: Vec<SourceVote> = Vec::new();
             for &f in &dirty {
                 let raw = self.delta.signature(f);
-                let next = signatures.len();
+                let next = sig_score.len();
                 let k = *seen.entry(raw).or_insert(next);
                 if k == next {
-                    signatures.push(
-                        raw.iter()
-                            .map(|&(s, vote)| SourceVote { source: SourceId::new(s), vote })
-                            .collect(),
+                    signature.clear();
+                    signature.extend(
+                        raw.iter().map(|&(s, vote)| SourceVote { source: SourceId::new(s), vote }),
                     );
+                    sig_score.push(corrob_probability_or(&signature, &self.trust, prior));
                 }
-                group_of.push(k);
-            }
-            let shard_cfg = self.config.engine.shard;
-            let n_shards = shard_cfg.resolved_shards().clamp(1, signatures.len().max(1));
-            let mut shards: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for (k, sig) in signatures.iter().enumerate() {
-                shards[signature_shard(sig, n_shards)].push(k);
-            }
-            shards_scanned = shards.iter().filter(|members| !members.is_empty()).count();
-            // Thread fan-out only pays for itself on large rescores; the
-            // threshold changes scheduling, never results.
-            let threads = if signatures.len() < MIN_PARALLEL_RESCORE_FACTS {
-                1
-            } else {
-                shard_cfg.resolved_threads().min(n_shards)
-            };
-            let trust = &self.trust;
-            let prior = self.config.engine.voteless_prior;
-            let scored: Vec<Vec<f64>> = map_indexed(n_shards, threads, |s| {
-                shards[s]
-                    .iter()
-                    .map(|&k| corrob_probability_or(&signatures[k], trust, prior))
-                    .collect()
-            });
-            // Scatter the per-signature scores back positionally.
-            let mut sig_score = vec![0.0f64; signatures.len()];
-            for (members, shard_scores) in shards.iter().zip(&scored) {
-                for (&k, &p) in members.iter().zip(shard_scores) {
-                    sig_score[k] = p;
-                }
-            }
-            for (&f, &k) in dirty.iter().zip(&group_of) {
                 *self.probs.get_mut(f.index()) = sig_score[k];
                 if !self.stale[f.index()] {
                     *self.stale.get_mut(f.index()) = true;
@@ -505,7 +453,6 @@ impl EpochEngine {
             facts_rescored,
             groups_invalidated,
             rounds: if full { self.rounds } else { 0 },
-            shards_scanned,
         };
         Ok((view, stats))
     }

@@ -547,7 +547,6 @@ fn record_epoch_counters(metrics: &ServeMetrics, stats: &EpochStats) {
     obs.add(if stats.full { Counter::EpochsFull } else { Counter::EpochsIncremental }, 1);
     obs.add(Counter::GroupsInvalidated, stats.groups_invalidated as u64);
     obs.add(Counter::FactsRescored, stats.facts_rescored as u64);
-    obs.add(Counter::ShardTasks, stats.shards_scanned as u64);
 }
 
 fn epoch_loop(

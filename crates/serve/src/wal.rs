@@ -19,9 +19,8 @@
 //! (`wal.000001.seg`, …) described by a small CRC'd manifest; only the
 //! highest-numbered segment may carry a torn tail — corruption in a sealed
 //! segment is a hard error (data loss, not a crash artefact). Replay
-//! decodes segments in parallel on the `inc/par.rs` scoped-thread
-//! scheduler and merges them in segment order, so recovery is bit-identical
-//! to the append stream.
+//! decodes segments in parallel on scoped threads and merges them in
+//! segment order, so recovery is bit-identical to the append stream.
 //!
 //! The fsync path is **pipelined**: the frame is written, then handed to a
 //! long-lived syncer thread, and the *next* append collects the completed
@@ -67,7 +66,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use corroborate_algorithms::inc::map_indexed;
 use corroborate_core::truth::Label;
 use corroborate_core::vote::Vote;
 use corroborate_obs::{Json, Observer, Span, NOOP};
@@ -375,6 +373,26 @@ fn decode_segment(bytes: &[u8]) -> SegmentScan {
         }
     }
     SegmentScan { batches, valid_len: valid_len as u64, torn, nanos: saturating_nanos(start) }
+}
+
+/// Decodes every segment, in contiguous runs over at most
+/// [`REPLAY_THREADS`] scoped workers; the scans come back in segment order.
+fn decode_segments(datas: &[Vec<u8>]) -> Vec<SegmentScan> {
+    if datas.len() < 2 {
+        return datas.iter().map(|data| decode_segment(data)).collect();
+    }
+    let mut scans: Vec<SegmentScan> = datas.iter().map(|_| SegmentScan::default()).collect();
+    let run = datas.len().div_ceil(REPLAY_THREADS);
+    std::thread::scope(|scope| {
+        for (out, data) in scans.chunks_mut(run).zip(datas.chunks(run)) {
+            scope.spawn(move || {
+                for (scan, data) in out.iter_mut().zip(data) {
+                    *scan = decode_segment(data);
+                }
+            });
+        }
+    });
+    scans
 }
 
 /// One decoded batch from shipped WAL bytes.
@@ -740,8 +758,7 @@ impl Wal {
         } else {
             let datas: Vec<Vec<u8>> =
                 seg_ids.iter().map(|&id| fs.read(&seg_path(dir, id))).collect::<io::Result<_>>()?;
-            let scans: Vec<SegmentScan> =
-                map_indexed(datas.len(), REPLAY_THREADS, |i| decode_segment(&datas[i]));
+            let scans = decode_segments(&datas);
             let last_index = scans.len().checked_sub(1);
 
             // Last-applied-or-skipped sequence; None until the first batch.

@@ -183,39 +183,17 @@ fn different_engines_disagree_somewhere() {
 }
 
 #[test]
-fn sharded_engine_is_fingerprint_identical_across_shard_counts() {
-    // The sharded engine's partition-and-merge must be invisible in the
-    // results: on every planted archetype, every shard count (degenerate,
-    // even, prime, and far beyond the group count) and thread fan-out
-    // fingerprints bit-identically to the strictly sequential engine.
-    use corroborate_algorithms::inc::{IncEstHeu, IncEstimate, IncEstimateConfig, ShardConfig};
+fn engine_fingerprint_is_pinned_at_100k_facts() {
+    // A 100k-fact synthetic world: over a thousand signature groups and
+    // about a thousand rounds. The engine produced this fingerprint when it
+    // still had a shard partition, sequential and sharded alike
+    // (`git show 7d4bc19:BENCH_shard.json`).
+    use corroborate_algorithms::inc::{IncEstHeu, IncEstimate};
+    use corroborate_datagen::synthetic::{generate, SyntheticConfig};
     use corroborate_testkit::oracle::run_engine;
-    for (name, config) in &standard_archetypes(SEED) {
-        let world = sim::generate(config);
-        let sequential = run_engine(
-            &IncEstimate::with_config(
-                IncEstHeu::default(),
-                IncEstimateConfig { shard: ShardConfig::sequential(), ..Default::default() },
-            ),
-            &world.dataset,
-        );
-        let baseline = fingerprint(&sequential);
-        for shards in [1usize, 2, 4, 7, 8, 64] {
-            let sharded = run_engine(
-                &IncEstimate::with_config(
-                    IncEstHeu::default(),
-                    IncEstimateConfig {
-                        shard: ShardConfig { shards, threads: 2 },
-                        ..Default::default()
-                    },
-                ),
-                &world.dataset,
-            );
-            assert_eq!(
-                baseline,
-                fingerprint(&sharded),
-                "{name}: {shards} shards diverge from the sequential engine"
-            );
-        }
-    }
+    let cfg =
+        SyntheticConfig { n_accurate: 8, n_inaccurate: 2, n_facts: 100_000, eta: 0.02, seed: 42 };
+    let world = generate(&cfg).expect("synthetic generation succeeds");
+    let outcome = run_engine(&IncEstimate::new(IncEstHeu::default()), &world.dataset);
+    assert_eq!(format!("{:016x}", fingerprint(&outcome)), "3182f0d72ee1aebd");
 }
