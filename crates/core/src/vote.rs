@@ -216,14 +216,23 @@ impl VoteMatrix {
 #[derive(Debug, Clone)]
 pub struct VoteMatrixBuilder {
     n_sources: usize,
-    n_facts: usize,
     by_fact: Vec<Vec<SourceVote>>,
 }
 
 impl VoteMatrixBuilder {
     /// Creates an empty builder for `n_sources × n_facts`.
     pub fn new(n_sources: usize, n_facts: usize) -> Self {
-        Self { n_sources, n_facts, by_fact: vec![Vec::new(); n_facts] }
+        Self { n_sources, by_fact: vec![Vec::new(); n_facts] }
+    }
+
+    /// Widens the matrix by one source.
+    pub(crate) fn add_source(&mut self) {
+        self.n_sources += 1;
+    }
+
+    /// Widens the matrix by one fact with no votes yet.
+    pub(crate) fn add_fact(&mut self) {
+        self.by_fact.push(Vec::new());
     }
 
     /// Records a vote. Casting twice for the same `(source, fact)` pair
@@ -241,11 +250,11 @@ impl VoteMatrixBuilder {
                 len: self.n_sources,
             });
         }
-        if fact.index() >= self.n_facts {
+        if fact.index() >= self.by_fact.len() {
             return Err(CoreError::IdOutOfRange {
                 kind: "fact",
                 index: fact.index(),
-                len: self.n_facts,
+                len: self.by_fact.len(),
             });
         }
         let postings = &mut self.by_fact[fact.index()];
@@ -278,7 +287,13 @@ impl VoteMatrixBuilder {
         }
         // by_source postings are already sorted by fact because we visited
         // facts in increasing order.
-        VoteMatrix { n_sources: self.n_sources, n_facts: self.n_facts, by_fact, by_source, n_votes }
+        VoteMatrix {
+            n_sources: self.n_sources,
+            n_facts: by_fact.len(),
+            by_fact,
+            by_source,
+            n_votes,
+        }
     }
 }
 

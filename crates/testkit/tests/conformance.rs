@@ -182,18 +182,41 @@ fn different_engines_disagree_somewhere() {
     assert!(prints.len() > 1);
 }
 
-#[test]
-fn engine_fingerprint_is_pinned_at_100k_facts() {
-    // A 100k-fact synthetic world: over a thousand signature groups and
-    // about a thousand rounds. The engine produced this fingerprint when it
-    // still had a shard partition, sequential and sharded alike
-    // (`git show 7d4bc19:BENCH_shard.json`).
-    use corroborate_algorithms::inc::{IncEstHeu, IncEstimate};
+/// The 100k-fact synthetic world the engine's fingerprint is pinned on:
+/// over a thousand signature groups and about a thousand rounds.
+fn world_100k() -> corroborate_core::dataset::Dataset {
     use corroborate_datagen::synthetic::{generate, SyntheticConfig};
-    use corroborate_testkit::oracle::run_engine;
     let cfg =
         SyntheticConfig { n_accurate: 8, n_inaccurate: 2, n_facts: 100_000, eta: 0.02, seed: 42 };
-    let world = generate(&cfg).expect("synthetic generation succeeds");
-    let outcome = run_engine(&IncEstimate::new(IncEstHeu::default()), &world.dataset);
-    assert_eq!(format!("{:016x}", fingerprint(&outcome)), "3182f0d72ee1aebd");
+    generate(&cfg).expect("synthetic generation succeeds").dataset
+}
+
+/// The default `IncEstHeu` engine's fingerprint on `dataset`, as hex.
+fn heu_fingerprint(dataset: &corroborate_core::dataset::Dataset) -> String {
+    use corroborate_algorithms::inc::{IncEstHeu, IncEstimate};
+    use corroborate_testkit::oracle::run_engine;
+    let outcome = run_engine(&IncEstimate::new(IncEstHeu::default()), dataset);
+    format!("{:016x}", fingerprint(&outcome))
+}
+
+#[test]
+fn engine_fingerprint_is_pinned_at_100k_facts() {
+    // The engine produced this fingerprint when it still had a shard
+    // partition, sequential and sharded alike
+    // (`git show 7d4bc19:BENCH_shard.json`).
+    assert_eq!(heu_fingerprint(&world_100k()), "3182f0d72ee1aebd");
+}
+
+#[test]
+fn csv_loaded_world_keeps_the_pinned_fingerprint() {
+    // The same world written out as votes, truth and source roster and
+    // loaded back keeps every id, so the engine's result is unchanged. The
+    // roster matters: without it sources renumber by first appearance.
+    use corroborate_core::io::{dataset_from_csv_full, sources_to_csv, truth_to_csv, votes_to_csv};
+    let world = world_100k();
+    let truth = truth_to_csv(&world).expect("the synthetic world is labelled");
+    let loaded =
+        dataset_from_csv_full(&votes_to_csv(&world), Some(&truth), Some(&sources_to_csv(&world)))
+            .expect("the loader reads its own output");
+    assert_eq!(heu_fingerprint(&loaded), "3182f0d72ee1aebd");
 }
