@@ -8,8 +8,7 @@
 //!    scoring) at 2k/8k/20k facts;
 //! 2. **WAL durability** — group-commit the same stream into a segmented
 //!    on-disk write-ahead log (1024-mutation frames, 256 KiB segments)
-//!    and replay it cold over parallel segment decode, measuring both
-//!    directions;
+//!    and replay it cold, measuring both directions;
 //! 3. **Epoch latency** — incremental re-evaluation of a k-vote delta
 //!    versus the full-recompute escape hatch, for k ∈ {1, 16, 256}, plus
 //!    a delta that registers one new fact with one vote (the shape of a

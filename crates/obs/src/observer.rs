@@ -46,7 +46,7 @@ pub enum Span {
     WalSeal,
     /// One full write-ahead log replay during service recovery.
     WalReplay,
-    /// One segment decoded (in parallel) during write-ahead log replay.
+    /// One segment decoded during write-ahead log replay.
     SegmentReplay,
     /// One engine re-score pass inside an epoch (incremental or full).
     Rescore,

@@ -1,12 +1,15 @@
 //! Cluster control-plane state: who is replicating, and how far behind.
 //!
 //! Replicas announce themselves by POSTing heartbeats to the primary's
-//! `POST /cluster/heartbeat` endpoint after every applied batch (and
-//! periodically while idle). The primary folds them into a [`ClusterState`]
-//! and renders the membership document served on `GET /cluster`: per-replica
-//! catch-up seq, replication lag seconds (computed against the
-//! [`crate::ship::ShipLog`]'s durable-frame timestamps), epoch lag, and the
-//! primary's own ingest health (shed rate, queue depth, epoch lag).
+//! `POST /cluster/heartbeat` endpoint at most once per
+//! [`crate::replica::HEARTBEAT_INTERVAL_NANOS`] (125 ms), busy or idle, so
+//! a replica's entry trails its progress by at most one interval plus one
+//! [`crate::ship::TAIL_WAIT_CAP`]. The primary folds them into a
+//! [`ClusterState`] and renders the membership document served on
+//! `GET /cluster`: per-replica catch-up seq, replication lag seconds
+//! (computed against the [`crate::ship::ShipLog`]'s durable-frame
+//! timestamps), epoch lag, and the primary's own ingest health (shed
+//! rate, queue depth, epoch lag).
 //!
 //! Like the rest of the replication family this module is inside the
 //! determinism and checked-arithmetic audit scopes: time is always an

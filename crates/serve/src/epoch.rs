@@ -112,6 +112,10 @@ pub struct VerdictView {
     stale_count: usize,
     trust: TrustSnapshot,
     rounds: usize,
+    /// [`Self::fingerprint`], computed on first use. The serve paths that
+    /// read it (`/replica`, `/cluster`, heartbeats) are rare next to
+    /// publishes, so most views never pay for the O(n) digest.
+    fingerprint: OnceLock<u64>,
     /// What [`Self::dataset`] serves should materialising `delta` ever
     /// fail — the builder cannot refuse the in-range ids a delta holds,
     /// and a read path must not panic.
@@ -133,6 +137,7 @@ impl VerdictView {
             trust: TrustSnapshot::uniform(0, config.engine.initial_trust)
                 .map_err(ServeError::Core)?,
             rounds: 0,
+            fingerprint: OnceLock::new(),
             empty,
         })
     }
@@ -208,8 +213,14 @@ impl VerdictView {
     /// epoch counter and staleness flags, so a drained stream and a
     /// one-shot batch over the same data — however the mutations were
     /// chunked — digest identically. The streamed-vs-batch differential
-    /// gate is an equality test on this value.
+    /// gate is an equality test on this value. Computed once per view, on
+    /// the first call.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.digest())
+    }
+
+    /// The O(n) computation behind [`Self::fingerprint`].
+    fn digest(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -445,6 +456,7 @@ impl EpochEngine {
             stale_count: self.stale_count,
             trust: self.trust.clone(),
             rounds: self.rounds,
+            fingerprint: OnceLock::new(),
             empty: Arc::clone(&self.empty),
         });
         let stats = EpochStats {
@@ -492,6 +504,7 @@ pub fn evaluate_batch(dataset: Dataset, config: &EpochConfig) -> Result<VerdictV
         trust: result.trust().clone(),
         rounds: result.rounds(),
         dataset: OnceLock::from(dataset),
+        fingerprint: OnceLock::new(),
         empty: Arc::new(DeltaDataset::new().materialize()?),
     })
 }
@@ -676,7 +689,7 @@ mod tests {
             let votes: Vec<Vec<(usize, Vote)>> = (0..view.delta().n_facts())
                 .map(|f| view.delta().signature(FactId::new(f)).to_vec())
                 .collect();
-            (view.fingerprint(), lookups, votes, view.stale_count())
+            (view.digest(), lookups, votes, view.stale_count())
         };
         let before = snapshot(&captured);
 
@@ -698,6 +711,26 @@ mod tests {
         assert_eq!(snapshot(&captured), before);
         assert_eq!(captured.delta().n_facts(), 600);
         assert!(captured.source_by_name("new-s0").is_none());
+    }
+
+    #[test]
+    fn a_memoized_fingerprint_equals_a_fresh_digest() {
+        let config = EpochConfig { full_recompute_threshold: 2.0, ..Default::default() };
+        let mut e = EpochEngine::new(config).unwrap();
+        for m in seed_mutations() {
+            e.apply(&m).unwrap();
+        }
+        let (first, _) = e.run_epoch(EpochMode::Auto).unwrap();
+        let memo = first.fingerprint();
+        // An incremental epoch writes the engine's shared columns; the
+        // first view's memo must still describe the first view's data.
+        e.apply(&cast("s4", "f3", Vote::False)).unwrap();
+        let (second, stats) = e.run_epoch(EpochMode::Auto).unwrap();
+        assert!(!stats.full);
+        assert_eq!(first.fingerprint(), memo);
+        assert_eq!(first.digest(), memo);
+        assert_eq!(second.fingerprint(), second.digest());
+        assert_ne!(second.fingerprint(), memo);
     }
 
     #[test]

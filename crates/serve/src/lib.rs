@@ -9,8 +9,8 @@
 //!   copy-on-write name map that make a [`DeltaDataset`] clone cheap.
 //! - [`wal`] — group-commit, segmented write-ahead log: one framed,
 //!   CRC'd record and one (pipelined) fsync per linger batch, bounded
-//!   `wal.NNNNNN.seg` segments with a CRC'd manifest, parallel replay
-//!   with deterministic merge, and background snapshot compaction. A
+//!   `wal.NNNNNN.seg` segments with a CRC'd manifest, in-order replay,
+//!   and background snapshot compaction. A
 //!   snapshot is one frame of the same codec, so recovery, shipping, and
 //!   replica resync share one decoder and one CRC.
 //! - [`walfs`] — the pluggable [`WalFs`]/[`WalFile`] I/O layer: real

@@ -16,9 +16,13 @@
 //!   `GET /wal/tail?from_seq=` on the primary, falls back to sealed
 //!   segments (`GET /wal/segments`) when it is behind the live window,
 //!   and resyncs from `GET /wal/snapshot` when it is behind the
-//!   compaction floor (or finds itself on a different history). After
-//!   every applied batch — and periodically while idle — it reports
-//!   progress via `POST /cluster/heartbeat`.
+//!   compaction floor (or finds itself on a different history). Once it
+//!   has reached the primary's head it long-polls (`wait_ms`): the
+//!   primary answers when the next frame lands or after at most
+//!   [`TAIL_WAIT_CAP`], so an idle replica costs one parked request per
+//!   cap rather than a poll every few milliseconds. It reports progress
+//!   via `POST /cluster/heartbeat` at most once per
+//!   [`HEARTBEAT_INTERVAL_NANOS`], timed on [`ServeMetrics::now_nanos`].
 //! - the serve shell — the HTTP/1.1 shell (`shell.rs`) the primary runs
 //!   too, here with a read-only route table (`/v1/facts/*`, `/v1/sources/*/trust`,
 //!   `/healthz`, `/replica`, `/metrics`, `/metrics.json`); writes are
@@ -51,11 +55,14 @@ use crate::error::ServeError;
 use crate::http::{read_response, write_request, HttpError, Request};
 use crate::metrics::ServeMetrics;
 use crate::shell::{read_routes, Reply, Routes, Shell, ShellConfig, Shutdown};
+use crate::ship::TAIL_WAIT_CAP;
 use crate::wal::{replace_with_snapshot, scan_frames, Wal, WalConfig};
 use crate::walfs::{FaultFs, StdFs, WalFs};
 
-/// Idle poll cycles between keep-alive heartbeats to the primary.
-const IDLE_HEARTBEAT_TICKS: u32 = 25;
+/// Least time between two heartbeats to the primary (125 ms), busy or
+/// idle. `/cluster` therefore shows a replica's progress at most one
+/// interval plus one [`TAIL_WAIT_CAP`] after it applied it.
+pub const HEARTBEAT_INTERVAL_NANOS: u64 = 125_000_000;
 
 /// Read timeout on accepted serve-shell connections; bounds how long a
 /// worker can be parked on an idle keep-alive socket during drain.
@@ -79,10 +86,12 @@ pub struct ReplicaConfig {
     pub data_dir: Option<PathBuf>,
     /// Serve-shell worker threads.
     pub workers: usize,
-    /// Sleep between tail polls when the replica is caught up (or
-    /// recovering from a fetch error).
+    /// Back-off after a failed fetch, before the next try. A caught-up
+    /// replica does not sleep between polls: it long-polls the primary.
     pub poll_interval: Duration,
-    /// Socket read/write timeout for requests to the primary.
+    /// Socket read/write timeout for requests to the primary. A long poll
+    /// asks the primary to wait at most half of it (and never more than
+    /// [`TAIL_WAIT_CAP`]).
     pub request_timeout: Duration,
     /// Response body cap for fetches from the primary (must comfortably
     /// exceed the primary's segment size).
@@ -337,12 +346,12 @@ impl PrimaryClient {
 }
 
 /// Mutable progress snapshot shared between the fetch thread and the
-/// serve shell.
+/// serve shell. Epoch and fingerprint come from the published view.
 #[derive(Debug, Clone, Default)]
 struct Progress {
     applied_seq: u64,
-    epoch: u64,
-    fingerprint: u64,
+    /// Reached the primary's head since start or the last resync (see
+    /// [`ReplicaHandle::caught_up`]).
     caught_up: bool,
     resyncs: u64,
     last_error: Option<String>,
@@ -381,6 +390,10 @@ impl ReplicaShared {
         let mut guard = self.progress.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut guard);
     }
+
+    fn caught_up(&self) -> bool {
+        self.progress.lock().unwrap_or_else(PoisonError::into_inner).caught_up
+    }
 }
 
 /// The fetch thread: owns the [`ReplicaCore`] and the primary connection.
@@ -393,24 +406,24 @@ struct Fetcher {
     wal_config: WalConfig,
     epoch_config: EpochConfig,
     poll_interval: Duration,
+    /// `wait_ms` of a long poll: [`TAIL_WAIT_CAP`], or half the request
+    /// timeout if that is shorter.
+    tail_wait_ms: u128,
     serve_addr: String,
-    idle_ticks: u32,
+    /// `now_nanos` reading at or after which the next heartbeat is due.
+    next_heartbeat_nanos: u64,
 }
 
 impl Fetcher {
     fn run(mut self) {
         while !self.shared.shutdown.requested() {
             match self.step() {
-                Ok(true) => {
-                    self.idle_ticks = 0;
-                }
-                Ok(false) => {
-                    self.idle_ticks = self.idle_ticks.saturating_add(1);
-                    if self.idle_ticks >= IDLE_HEARTBEAT_TICKS {
-                        self.idle_ticks = 0;
+                Ok(()) => {
+                    let now = self.shared.metrics.now_nanos();
+                    if now >= self.next_heartbeat_nanos {
+                        self.next_heartbeat_nanos = now.saturating_add(HEARTBEAT_INTERVAL_NANOS);
                         self.send_heartbeat();
                     }
-                    thread::sleep(self.poll_interval);
                 }
                 Err(message) => {
                     self.record_error(message);
@@ -423,23 +436,25 @@ impl Fetcher {
     }
 
     /// One poll: tail from the next needed seq; fall back to segment
-    /// catch-up on `410 Gone`. Returns whether progress was made.
-    fn step(&mut self) -> Result<bool, String> {
+    /// catch-up on `410 Gone`. Once the replica has reached the head, the
+    /// poll parks at the primary until the next frame lands; the first
+    /// poll after start or a resync answers at once, so reaching the head
+    /// is never delayed by a wait.
+    fn step(&mut self) -> Result<(), String> {
         let from = self.core.applied_seq().saturating_add(1);
-        let response = self.client.request("GET", &format!("/wal/tail?from_seq={from}"), &[])?;
+        let path = if self.shared.caught_up() {
+            format!("/wal/tail?from_seq={from}&wait_ms={}", self.tail_wait_ms)
+        } else {
+            format!("/wal/tail?from_seq={from}")
+        };
+        let response = self.client.request("GET", &path, &[])?;
         match response.status {
             200 if response.body.is_empty() => {
                 self.mark_caught_up();
-                Ok(false)
+                Ok(())
             }
-            200 => {
-                self.apply_bytes(&response.body)?;
-                Ok(true)
-            }
-            410 => {
-                self.catch_up()?;
-                Ok(true)
-            }
+            200 => self.apply_bytes(&response.body),
+            410 => self.catch_up(),
             404 => Err("primary has no replication feed (started without data_dir)".to_string()),
             status => Err(format!("GET /wal/tail: unexpected status {status}")),
         }
@@ -487,7 +502,6 @@ impl Fetcher {
         }
         if applied.batches > 0 {
             let _ = self.core.maybe_compact();
-            self.send_heartbeat();
         }
         Ok(())
     }
@@ -588,20 +602,19 @@ impl Fetcher {
             p.caught_up = false;
         });
         self.publish(view);
-        self.send_heartbeat();
         Ok(())
     }
 
+    /// Publishes `view`, then records the progress it covers: a reader
+    /// that sees `applied_seq` reach N also sees a view covering N.
     fn publish(&self, view: Arc<VerdictView>) {
+        self.shared.view.publish(view);
+        self.shared.metrics.note_epoch_published();
         let applied_seq = self.core.applied_seq();
         self.shared.update_progress(|p| {
             p.applied_seq = applied_seq;
-            p.epoch = view.epoch();
-            p.fingerprint = view.fingerprint();
             p.last_error = None;
         });
-        self.shared.metrics.note_epoch_published();
-        self.shared.view.publish(view);
     }
 
     fn mark_caught_up(&self) {
@@ -616,15 +629,17 @@ impl Fetcher {
         self.shared.update_progress(|p| p.last_error = Some(message));
     }
 
-    /// Best-effort progress report to the primary's control plane.
+    /// Best-effort progress report to the primary's control plane. This
+    /// is where a replica's view pays for its fingerprint: at most once
+    /// per view, and only for views a heartbeat (or `/replica`) reads.
     fn send_heartbeat(&mut self) {
-        let progress = self.shared.progress();
+        let view = self.shared.view.get();
         let status = ReplicaStatus {
             id: self.shared.id.clone(),
             addr: self.serve_addr.clone(),
-            applied_seq: progress.applied_seq,
-            epoch: progress.epoch,
-            fingerprint: progress.fingerprint,
+            applied_seq: self.shared.progress().applied_seq,
+            epoch: view.epoch(),
+            fingerprint: view.fingerprint(),
             heard_nanos: 0,
         };
         let body = status.to_heartbeat_json().to_json();
@@ -672,9 +687,13 @@ impl ReplicaHandle {
         self.shared.progress().applied_seq
     }
 
-    /// Whether the last tail poll found the replica at the primary's head.
+    /// Whether the replica has reached the primary's head since it
+    /// started or since its last snapshot resync. A tail poll that finds
+    /// nothing new sets it; only a resync clears it. It does not fall back
+    /// when the primary takes new writes: [`Self::applied_seq`] tells how
+    /// far the replica has got. While it is set, tail polls long-poll.
     pub fn caught_up(&self) -> bool {
-        self.shared.progress().caught_up
+        self.shared.caught_up()
     }
 
     /// Snapshot resyncs performed since start.
@@ -693,7 +712,9 @@ impl ReplicaHandle {
     }
 
     /// Drains the replica: one final full epoch, journal flush, worker
-    /// join. Returns the final published view.
+    /// join. Returns the final published view. The fetch thread stops
+    /// after its current step; for a caught-up replica that is a long
+    /// poll, which the primary answers within [`TAIL_WAIT_CAP`].
     ///
     /// # Errors
     /// Currently infallible; the signature reserves room for surfacing
@@ -736,12 +757,7 @@ pub fn start(config: ReplicaConfig) -> Result<ReplicaHandle, ServeError> {
         primary: config.primary.clone(),
         view: Published::new(VerdictView::empty(&config.epoch)?),
         metrics,
-        progress: Mutex::new(Progress {
-            applied_seq: core.applied_seq(),
-            epoch: view.epoch(),
-            fingerprint: view.fingerprint(),
-            ..Progress::default()
-        }),
+        progress: Mutex::new(Progress { applied_seq: core.applied_seq(), ..Progress::default() }),
         shutdown: Shutdown::default(),
     });
     shared.view.publish(view);
@@ -766,8 +782,9 @@ pub fn start(config: ReplicaConfig) -> Result<ReplicaHandle, ServeError> {
         wal_config: config.wal,
         epoch_config: config.epoch,
         poll_interval: config.poll_interval,
+        tail_wait_ms: TAIL_WAIT_CAP.min(config.request_timeout / 2).as_millis(),
         serve_addr: shell.addr().to_string(),
-        idle_ticks: 0,
+        next_heartbeat_nanos: 0,
     };
     let fetch_handle =
         thread::Builder::new().name("replica-fetch".to_string()).spawn(move || fetcher.run())?;
@@ -785,16 +802,16 @@ fn route(shared: &ReplicaShared, request: &Request) -> Reply {
             doc.insert("status", if shared.shutdown.requested() { "draining" } else { "ok" });
             doc.insert("role", "replica");
             doc.insert("applied_seq", progress.applied_seq);
-            doc.insert("epoch", progress.epoch);
+            doc.insert("epoch", shared.view.get().epoch());
             doc.insert("caught_up", progress.caught_up);
             Reply::json(200, &doc)
         }
         ("GET", "/replica") => Reply::json(200, &status_doc(shared)),
         ("GET", "/metrics.json") => {
-            Reply::json(200, &shared.metrics.to_json(shared.progress().epoch, 0))
+            Reply::json(200, &shared.metrics.to_json(shared.view.get().epoch(), 0))
         }
         ("GET", "/metrics") => {
-            Reply::prometheus(shared.metrics.to_prometheus(shared.progress().epoch, 0))
+            Reply::prometheus(shared.metrics.to_prometheus(shared.view.get().epoch(), 0))
         }
         ("POST", "/v1/votes") => {
             Reply::error(405, &format!("replica is read-only; write to {}", shared.primary))
@@ -809,17 +826,19 @@ fn route(shared: &ReplicaShared, request: &Request) -> Reply {
     }
 }
 
-/// Renders the `/replica` status document.
+/// Renders the `/replica` status document. Progress is read before the
+/// view, so the view covers at least `applied_seq`.
 fn status_doc(shared: &ReplicaShared) -> Json {
     let progress = shared.progress();
+    let view = shared.view.get();
     let mut doc = Json::object();
     doc.insert("report", "corroborate_replica");
     doc.insert("schema_version", 1u64);
     doc.insert("id", shared.id.as_str());
     doc.insert("primary", shared.primary.as_str());
     doc.insert("applied_seq", progress.applied_seq);
-    doc.insert("epoch", progress.epoch);
-    doc.insert("fingerprint", format!("{:016x}", progress.fingerprint));
+    doc.insert("epoch", view.epoch());
+    doc.insert("fingerprint", format!("{:016x}", view.fingerprint()));
     doc.insert("caught_up", progress.caught_up);
     doc.insert("resyncs", progress.resyncs);
     match progress.last_error {

@@ -17,12 +17,13 @@
 //! accepted into a bounded queue and journalled to the WAL *before* they
 //! mutate engine state, so a crash between accept and epoch is recoverable.
 //!
-//! Graceful shutdown (admin endpoint or [`ServerHandle::shutdown`]): the
-//! shell stops accepting (its blocking accept is woken by a connection to
-//! its own address), in-flight connections finish their current request,
-//! the queue closes, and the epoch thread runs one final **full** drain
-//! epoch before exiting — the published view then equals a one-shot batch
-//! run over everything ever accepted.
+//! Graceful shutdown (admin endpoint or [`ServerHandle::shutdown`]):
+//! replicas' parked `GET /wal/tail` long polls are woken and answer at
+//! once, the shell stops accepting (its blocking accept is woken by a
+//! connection to its own address), in-flight connections finish their
+//! current request, the queue closes, and the epoch thread runs one final
+//! **full** drain epoch before exiting — the published view then equals a
+//! one-shot batch run over everything ever accepted.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -205,6 +206,10 @@ impl ServerHandle {
     }
 
     fn drain(&mut self) -> Result<(), ServeError> {
+        // Flag the drain and wake parked tail fetches before the shell
+        // joins its workers: a woken fetch then answers and closes.
+        self.shared.shutdown.request();
+        self.shared.ship.drain();
         self.shell.stop();
         // Workers are done: no more producers. Close and drain.
         self.shared.queue.close();
@@ -345,6 +350,7 @@ fn route(shared: &Shared, request: &Request) -> Reply {
         ("POST", "/cluster/heartbeat") => post_heartbeat(shared, &request.body),
         ("POST", "/v1/admin/shutdown") => {
             shared.shutdown.request();
+            shared.ship.drain();
             let mut obj = Json::object();
             obj.insert("draining", true);
             Reply::json(202, &obj)
@@ -385,6 +391,14 @@ fn route_wal(shared: &Shared, request: &Request) -> Reply {
             else {
                 return Reply::error(400, "tail requires ?from_seq=<u64>");
             };
+            // A long poll: park until the frame at `from_seq` lands (the
+            // wait is clamped to `TAIL_WAIT_CAP`); no `wait_ms`, no wait.
+            let wait_ms = match query_param(&request.query, "wait_ms").map(|v| v.parse::<u64>()) {
+                None => 0,
+                Some(Ok(ms)) => ms,
+                Some(Err(_)) => return Reply::error(400, "wait_ms must be a u64"),
+            };
+            shared.ship.wait_for_frame(from_seq, Duration::from_millis(wait_ms));
             let obs = shared.metrics.observer();
             let tail = obs.traced(Span::TailShip, from_seq, || {
                 shared.ship.tail_since(from_seq, TAIL_FETCH_MAX_BYTES)

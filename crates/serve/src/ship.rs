@@ -14,6 +14,11 @@
 //!   `replica_lag_seconds` gauge (lag = age of the oldest durable frame a
 //!   replica has not yet applied, measured on the ship clock).
 //!
+//! A caught-up replica long-polls: [`ShipLog::wait_for_frame`] parks the
+//! serving worker on a condvar paired with the log's own mutex until the
+//! next frame lands, the primary starts draining ([`ShipLog::drain`]), or
+//! at most [`TAIL_WAIT_CAP`] passes.
+//!
 //! Frames enter the log only once durable on the primary (after their
 //! pipelined fsync completes, or immediately when fsync is off): a replica
 //! can never observe state a primary crash would roll back, so after a
@@ -25,7 +30,8 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
 use corroborate_obs::Json;
 
@@ -36,6 +42,12 @@ use crate::walfs::WalFs;
 /// metrics clock); defaults to a constant zero for tests that only check
 /// sequence bookkeeping.
 pub type ShipClock = Box<dyn Fn() -> u64 + Send + Sync>;
+
+/// Longest a tail fetch parks waiting for the next durable frame; longer
+/// `wait_ms` requests are clamped to it. It bounds how long a parked poll
+/// holds a primary worker, and how long a caught-up replica's fetch thread
+/// goes between its heartbeat checks.
+pub const TAIL_WAIT_CAP: Duration = Duration::from_millis(100);
 
 /// One sealed segment a replica may fetch, as listed in the ship index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +76,8 @@ struct ShipFrame {
 struct ShipInner {
     /// Becomes true once a [`crate::wal::Wal`] bootstraps the log.
     enabled: bool,
+    /// Set by [`ShipLog::drain`]: tail fetches no longer park.
+    draining: bool,
     snapshot_seq: u64,
     /// Sequence the next durable frame will start at.
     next_seq: u64,
@@ -102,6 +116,8 @@ pub struct ShipLog {
     cap_bytes: u64,
     clock: ShipClock,
     inner: Mutex<ShipInner>,
+    /// Paired with `inner`: signalled when a frame lands or the log drains.
+    landed: Condvar,
 }
 
 impl std::fmt::Debug for ShipLog {
@@ -119,7 +135,7 @@ impl ShipLog {
     /// An empty ship log retaining at most `cap_bytes` of tail frames,
     /// stamping durability with `clock` (monotone nanoseconds).
     pub fn with_clock(cap_bytes: u64, clock: ShipClock) -> Self {
-        Self { cap_bytes, clock, inner: Mutex::new(ShipInner::default()) }
+        Self { cap_bytes, clock, inner: Mutex::new(ShipInner::default()), landed: Condvar::new() }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ShipInner> {
@@ -203,6 +219,16 @@ impl ShipLog {
         inner.frames.push_back(ShipFrame { first_seq, last_seq, bytes: bytes.to_vec(), nanos });
         inner.next_seq = last_seq.saturating_add(1);
         Self::evict(&mut inner, self.cap_bytes);
+        drop(inner);
+        self.landed.notify_all();
+    }
+
+    /// Marks the primary as draining and wakes every parked tail fetch;
+    /// from now on [`Self::wait_for_frame`] returns at once, so a drain
+    /// never waits out a replica's long poll.
+    pub fn drain(&self) {
+        self.lock().draining = true;
+        self.landed.notify_all();
     }
 
     /// Records a seal: the given segment is now immutable and fetchable.
@@ -286,6 +312,24 @@ impl ShipLog {
             (inner.dir.clone()?, Arc::clone(inner.fs.as_ref()?))
         };
         fs.read(&snapshot_path(&dir)).ok()
+    }
+
+    /// Parks the caller while `from_seq` is the head (the frame at it has
+    /// not landed yet), for at most `wait` clamped to [`TAIL_WAIT_CAP`].
+    /// Returns at once when `from_seq` is not the head (a frame at it is
+    /// durable, or the tail fetch will answer `Behind`), when `wait` is
+    /// zero, or once the log drains.
+    pub fn wait_for_frame(&self, from_seq: u64, wait: Duration) {
+        let wait = wait.min(TAIL_WAIT_CAP);
+        if wait.is_zero() {
+            return;
+        }
+        let inner = self.lock();
+        drop(
+            self.landed
+                .wait_timeout_while(inner, wait, |i| i.next_seq == from_seq && !i.draining)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
     }
 
     /// Serves a tail fetch: whole durable frames starting exactly at

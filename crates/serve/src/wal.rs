@@ -112,11 +112,6 @@ const OFF_LEN: usize = 16;
 /// Byte offset of `crc` in the header.
 const OFF_CRC: usize = 20;
 
-/// Scoped workers used to decode segments during replay. A fixed cap, not
-/// `available_parallelism`: replay cost is dominated by decode, and a
-/// machine-independent constant keeps recovery behaviour reproducible.
-const REPLAY_THREADS: usize = 4;
-
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -337,7 +332,6 @@ fn decode_batch(cur: &mut Cursor<'_>) -> Result<DecodedBatch, String> {
 }
 
 /// Result of scanning one whole segment.
-#[derive(Default)]
 struct SegmentScan {
     batches: Vec<DecodedBatch>,
     /// Byte length of the decodable prefix.
@@ -373,26 +367,6 @@ fn decode_segment(bytes: &[u8]) -> SegmentScan {
         }
     }
     SegmentScan { batches, valid_len: valid_len as u64, torn, nanos: saturating_nanos(start) }
-}
-
-/// Decodes every segment, in contiguous runs over at most
-/// [`REPLAY_THREADS`] scoped workers; the scans come back in segment order.
-fn decode_segments(datas: &[Vec<u8>]) -> Vec<SegmentScan> {
-    if datas.len() < 2 {
-        return datas.iter().map(|data| decode_segment(data)).collect();
-    }
-    let mut scans: Vec<SegmentScan> = datas.iter().map(|_| SegmentScan::default()).collect();
-    let run = datas.len().div_ceil(REPLAY_THREADS);
-    std::thread::scope(|scope| {
-        for (out, data) in scans.chunks_mut(run).zip(datas.chunks(run)) {
-            scope.spawn(move || {
-                for (scan, data) in out.iter_mut().zip(data) {
-                    *scan = decode_segment(data);
-                }
-            });
-        }
-    });
-    scans
 }
 
 /// One decoded batch from shipped WAL bytes.
@@ -758,7 +732,7 @@ impl Wal {
         } else {
             let datas: Vec<Vec<u8>> =
                 seg_ids.iter().map(|&id| fs.read(&seg_path(dir, id))).collect::<io::Result<_>>()?;
-            let scans = decode_segments(&datas);
+            let scans: Vec<SegmentScan> = datas.iter().map(|data| decode_segment(data)).collect();
             let last_index = scans.len().checked_sub(1);
 
             // Last-applied-or-skipped sequence; None until the first batch.

@@ -1,19 +1,28 @@
 //! End-to-end replication tests: a primary server and HTTP-fed read
 //! replicas. Covers steady-state following (bit-identical fingerprints
 //! after drain), the read-only serve shell, a mid-stream primary
-//! crash/restart, and a late-joining replica that must snapshot-resync
-//! past compacted history.
+//! crash/restart, a late-joining replica that must snapshot-resync past
+//! compacted history, the `GET /wal/tail` long poll, the `caught_up`
+//! contract, and heartbeat timing.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use corroborate_obs::Json;
-use corroborate_serve::http::{read_request, read_response, write_request, write_response_headers};
+use corroborate_serve::http::{
+    query_param, read_request, read_response, write_request, write_response_headers, Request,
+};
+use corroborate_serve::replica::HEARTBEAT_INTERVAL_NANOS;
+use corroborate_serve::ship::TAIL_WAIT_CAP;
+use corroborate_serve::wal::scan_frames;
 use corroborate_serve::{
-    replica, start, DeltaDataset, Mutation, ReplicaConfig, ServerConfig, ShipLog, Wal, WalConfig,
+    replica, start, DeltaDataset, Mutation, ReplicaConfig, ServerConfig, ShipLog, TailResponse,
+    Wal, WalConfig,
 };
 
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {
@@ -443,4 +452,332 @@ fn replica_refuses_a_corrupt_snapshot_and_keeps_its_local_history() {
     assert_eq!(dir_contents(&local), before, "a refused snapshot must not touch local history");
     let _ = std::fs::remove_dir_all(&source);
     let _ = std::fs::remove_dir_all(&local);
+}
+
+/// Sends one `GET` on a fresh connection without reading the reply, so
+/// the caller can act while the server holds it.
+fn send_get(addr: std::net::SocketAddr, path: &str) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_request(&mut stream.try_clone().unwrap(), "GET", path, b"", false).unwrap();
+    stream
+}
+
+/// A durable primary holding four votes, and its head: the seq the next
+/// frame will start at.
+fn primary_at_head(name: &str) -> (corroborate_serve::ServerHandle, PathBuf, u64) {
+    let dir = tempdir(name);
+    let primary = start(primary_config(&dir)).unwrap();
+    assert_eq!(write_votes(primary.addr(), 0, 4), 4);
+    let head = durable_seq_at_least(primary.addr(), 4) + 1;
+    (primary, dir, head)
+}
+
+#[test]
+fn a_long_poll_answers_with_the_frame_that_lands_during_the_wait() {
+    let (primary, dir, head) = primary_at_head("poll-lands");
+    let addr = primary.addr();
+
+    // Park a poll at the head (the wait asked for is clamped to the cap),
+    // then write: the poll answers with the new frame.
+    let asked = Instant::now();
+    let parked = send_get(addr, &format!("/wal/tail?from_seq={head}&wait_ms=60000"));
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(write_votes(addr, 4, 4), 4);
+    let response = read_response(&mut BufReader::new(parked), 1 << 20).unwrap();
+    let waited = asked.elapsed();
+    assert_eq!(response.status, 200);
+    let scan = scan_frames(&response.body);
+    assert!(scan.torn.is_none());
+    assert_eq!(
+        scan.batches.first().map(|b| b.first_seq),
+        Some(head),
+        "the poll answered without the frame that landed {waited:?} into its wait"
+    );
+    assert!(waited < TAIL_WAIT_CAP, "answered after {waited:?}, not when the frame landed");
+
+    primary.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_long_poll_with_nothing_to_ship_answers_empty_at_the_cap() {
+    let (primary, dir, head) = primary_at_head("poll-cap");
+    let addr = primary.addr();
+
+    // A wait below the cap is honoured...
+    let asked = Instant::now();
+    let (status, _, body) = get_raw(addr, &format!("/wal/tail?from_seq={head}&wait_ms=30"));
+    let waited = asked.elapsed();
+    assert_eq!((status, body.len()), (200, 0));
+    assert!(waited >= Duration::from_millis(30), "returned after {waited:?}");
+
+    // ...and a longer one is clamped to the cap.
+    let asked = Instant::now();
+    let (status, _, body) = get_raw(addr, &format!("/wal/tail?from_seq={head}&wait_ms=60000"));
+    let waited = asked.elapsed();
+    assert_eq!((status, body.len()), (200, 0));
+    assert!(waited >= TAIL_WAIT_CAP, "returned after {waited:?}, before the cap");
+    assert!(waited < Duration::from_secs(5), "waited {waited:?}: the cap was not applied");
+
+    primary.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tail_request_without_wait_ms_answers_at_once() {
+    let (primary, dir, head) = primary_at_head("poll-none");
+    let addr = primary.addr();
+
+    let asked = Instant::now();
+    let (status, _, body) = get_raw(addr, &format!("/wal/tail?from_seq={head}"));
+    let waited = asked.elapsed();
+    assert_eq!((status, body.len()), (200, 0));
+    assert!(waited < TAIL_WAIT_CAP, "a request without wait_ms waited {waited:?}");
+    // Off the head nothing parks either: a wait is only for the next frame.
+    let (status, _, body) = get_raw(addr, "/wal/tail?from_seq=1&wait_ms=60000");
+    assert_eq!(status, 200);
+    assert!(!body.is_empty());
+    let (status, _, _) = get_raw(addr, &format!("/wal/tail?from_seq={head}&wait_ms=soon"));
+    assert_eq!(status, 400);
+
+    primary.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn primary_drain_wakes_parked_polls_instead_of_waiting_out_the_cap() {
+    let (primary, dir, head) = primary_at_head("poll-drain");
+    let addr = primary.addr();
+    let replica = replica::start(replica_config(addr, "parked-1")).unwrap();
+    assert!(poll_until(Duration::from_secs(30), || {
+        replica.applied_seq() + 1 >= head && replica.caught_up()
+    }));
+
+    // The caught-up replica long-polls; this poll is parked for certain.
+    let parked = send_get(addr, &format!("/wal/tail?from_seq={head}&wait_ms=60000"));
+    std::thread::sleep(Duration::from_millis(10));
+    let started = Instant::now();
+    primary.shutdown().unwrap();
+    let drain = started.elapsed();
+    let response = read_response(&mut BufReader::new(parked), 1 << 20).unwrap();
+    assert_eq!((response.status, response.body.len()), (200, 0));
+    assert!(drain < TAIL_WAIT_CAP / 2, "the drain waited {drain:?} for parked polls");
+
+    replica.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The replica's `/replica` document, as (applied_seq, epoch,
+/// fingerprint hex).
+fn replica_doc(addr: std::net::SocketAddr) -> (u64, u64, String) {
+    let (status, doc) = request(addr, "GET", "/replica", "");
+    assert_eq!(status, 200);
+    let seq = |key: &str| u64::try_from(doc.get(key).unwrap().as_i64().unwrap()).unwrap();
+    let fingerprint = doc.get("fingerprint").unwrap().as_str().unwrap().to_string();
+    (seq("applied_seq"), seq("epoch"), fingerprint)
+}
+
+/// `(applied_seq, in_sync)` of replica `id` on the primary's `/cluster`.
+fn cluster_entry(addr: std::net::SocketAddr, id: &str) -> Option<(u64, bool)> {
+    let (_, doc) = request(addr, "GET", "/cluster", "");
+    let replicas = doc.get("replicas")?.as_array()?;
+    let entry = replicas.iter().find(|r| r.get("id").and_then(Json::as_str) == Some(id))?;
+    let applied = u64::try_from(entry.get("applied_seq")?.as_i64()?).ok()?;
+    Some((applied, entry.get("in_sync") == Some(&Json::Bool(true))))
+}
+
+#[test]
+fn replica_status_fingerprint_is_the_published_views_and_heartbeats_follow_in_time() {
+    let dir = tempdir("heartbeat");
+    let primary = start(primary_config(&dir)).unwrap();
+    let addr = primary.addr();
+    let replica = replica::start(replica_config(addr, "hb-1")).unwrap();
+
+    let mut written = 0;
+    for round in 0..3 {
+        written += write_votes(addr, written, 8 + round);
+        let target = durable_seq_at_least(addr, written as u64);
+        assert!(poll_until(Duration::from_secs(30), || replica.applied_seq() >= target));
+        let applied = Instant::now();
+
+        // `/replica` reports the published view's own fingerprint.
+        let view = replica.view();
+        let (seq, epoch, fingerprint) = replica_doc(replica.addr());
+        assert_eq!(seq, target);
+        assert_eq!(epoch, view.epoch());
+        assert_eq!(fingerprint, format!("{:016x}", view.fingerprint()), "round {round}");
+
+        // The next heartbeat is due at most one interval after the last
+        // one, and the fetch thread checks at least once per wait cap; the
+        // slack covers scheduling on a loaded host.
+        let budget = Duration::from_nanos(HEARTBEAT_INTERVAL_NANOS)
+            + TAIL_WAIT_CAP
+            + Duration::from_millis(100);
+        assert!(
+            poll_until(budget, || cluster_entry(addr, "hb-1") == Some((target, true))),
+            "round {round}: /cluster showed {:?} {:?} after seq {target} was applied",
+            cluster_entry(addr, "hb-1"),
+            applied.elapsed()
+        );
+    }
+
+    replica.shutdown().unwrap();
+    primary.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stand-in primary serving a real [`ShipLog`] the way the primary
+/// does, long polls included, with two levers for the test: while `hold`
+/// is set every tail request is refused with `503`, and serving
+/// `GET /wal/snapshot` sets `hold`. It sends the query of every tail
+/// request it serves to `tails`.
+struct ScriptedPrimary {
+    ship: Arc<ShipLog>,
+    hold: AtomicBool,
+    refused: AtomicUsize,
+    tails: Sender<String>,
+}
+
+impl ScriptedPrimary {
+    fn new(tails: Sender<String>) -> Self {
+        Self {
+            ship: Arc::new(ShipLog::new(1 << 20)),
+            hold: AtomicBool::new(false),
+            refused: AtomicUsize::new(0),
+            tails,
+        }
+    }
+
+    fn answer(&self, request: &Request) -> (u16, Vec<u8>) {
+        match request.path.as_str() {
+            "/wal/tail" if self.hold.load(Ordering::SeqCst) => {
+                self.refused.fetch_add(1, Ordering::SeqCst);
+                (503, Vec::new())
+            }
+            "/wal/tail" => {
+                let _ = self.tails.send(request.query.clone());
+                let from = query_param(&request.query, "from_seq").unwrap().parse().unwrap();
+                let wait = query_param(&request.query, "wait_ms").map_or(0, |v| v.parse().unwrap());
+                self.ship.wait_for_frame(from, Duration::from_millis(wait));
+                match self.ship.tail_since(from, u64::MAX) {
+                    TailResponse::Frames { bytes, .. } => (200, bytes),
+                    TailResponse::AtHead => (200, Vec::new()),
+                    TailResponse::Behind { .. } => (410, Vec::new()),
+                }
+            }
+            "/wal/segments" => (200, self.ship.index_json().to_json().into_bytes()),
+            "/wal/snapshot" => {
+                self.hold.store(true, Ordering::SeqCst);
+                (200, self.ship.read_snapshot().unwrap_or_default())
+            }
+            _ => (200, b"{}".to_vec()),
+        }
+    }
+
+    /// Sets `hold` and waits until a tail request has been refused: the
+    /// replica is then out of any long poll and cannot fetch.
+    fn hold_and_wait(&self) {
+        self.hold.store(true, Ordering::SeqCst);
+        let before = self.refused.load(Ordering::SeqCst);
+        assert!(poll_until(Duration::from_secs(10), || {
+            self.refused.load(Ordering::SeqCst) > before
+        }));
+    }
+}
+
+/// The next `n` tail queries the scripted primary serves.
+fn next_tails(tails: &Receiver<String>, n: usize) -> Vec<String> {
+    (0..n).map(|_| tails.recv_timeout(Duration::from_secs(10)).unwrap()).collect()
+}
+
+fn serve_scripted(script: Arc<ScriptedPrimary>) -> std::net::SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let script = Arc::clone(&script);
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                while let Ok(request) = read_request(&mut reader, 1 << 20) {
+                    let (status, body) = script.answer(&request);
+                    let ct = "application/octet-stream";
+                    if write_response_headers(&mut writer, status, ct, &[], &body, true).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn caught_up_means_reached_the_head_since_start_or_the_last_resync() {
+    let source = tempdir("scripted");
+    let (mut wal, _) = Wal::open(&source, WalConfig::default()).unwrap();
+    let (tails_tx, tails) = mpsc::channel();
+    let script = Arc::new(ScriptedPrimary::new(tails_tx));
+    wal.attach_shipper(Arc::clone(&script.ship)).unwrap();
+    let mut live = DeltaDataset::new();
+    // One single-mutation batch per fact, so fact `f{n}` is seq n.
+    let append = |wal: &mut Wal, live: &mut DeltaDataset, facts: std::ops::RangeInclusive<u64>| {
+        for f in facts {
+            let batch = [Mutation::AddFact { name: format!("f{f}"), label: None }];
+            wal.append_batch(&batch).unwrap();
+            live.apply_all(&batch).unwrap();
+        }
+    };
+    append(&mut wal, &mut live, 1..=3);
+    script.hold.store(true, Ordering::SeqCst);
+    let replica =
+        replica::start(replica_config(serve_scripted(Arc::clone(&script)), "s-1")).unwrap();
+    let wait_ms = TAIL_WAIT_CAP.as_millis();
+
+    // Before the head is reached the flag is down.
+    assert!(poll_until(Duration::from_secs(10), || script.refused.load(Ordering::SeqCst) > 0));
+    assert!(!replica.caught_up());
+
+    // A poll that finds nothing new raises it; only then do polls wait.
+    script.hold.store(false, Ordering::SeqCst);
+    assert!(poll_until(Duration::from_secs(10), || replica.caught_up()));
+    assert_eq!(replica.applied_seq(), 3);
+    assert_eq!(
+        next_tails(&tails, 3),
+        ["from_seq=1", "from_seq=4", &format!("from_seq=4&wait_ms={wait_ms}")]
+    );
+
+    // New writes the replica has not fetched yet leave it raised.
+    script.hold_and_wait();
+    append(&mut wal, &mut live, 4..=4);
+    assert!(replica.caught_up());
+    assert_eq!((replica.applied_seq(), script.ship.durable_seq()), (3, 4));
+    script.hold.store(false, Ordering::SeqCst);
+    assert!(poll_until(Duration::from_secs(10), || replica.applied_seq() == 4));
+
+    // A snapshot resync lowers it: compact past the replica's position,
+    // so its next poll is behind the window and it resyncs (the script
+    // holds every poll after serving the snapshot).
+    script.hold_and_wait();
+    append(&mut wal, &mut live, 5..=8);
+    wal.compact(&live).unwrap();
+    append(&mut wal, &mut live, 9..=9);
+    script.hold.store(false, Ordering::SeqCst);
+    assert!(poll_until(Duration::from_secs(10), || replica.resyncs() == 1));
+    assert!(poll_until(Duration::from_secs(10), || replica.applied_seq() == 8));
+    assert!(!replica.caught_up());
+
+    // It rises again at the head, and the polls on the way there do not wait.
+    tails.try_iter().for_each(drop);
+    script.hold.store(false, Ordering::SeqCst);
+    assert!(poll_until(Duration::from_secs(10), || replica.caught_up()));
+    assert_eq!(replica.applied_seq(), 9);
+    assert_eq!(
+        next_tails(&tails, 3),
+        ["from_seq=9", "from_seq=10", &format!("from_seq=10&wait_ms={wait_ms}")]
+    );
+
+    replica.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&source);
 }
