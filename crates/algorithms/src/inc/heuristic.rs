@@ -45,11 +45,11 @@
 //!   mode; the source→group inverted index restricts each candidate's sum
 //!   to index-adjacent groups, and the bound-pruned scorer below skips
 //!   candidates that provably cannot win. On the 4k-fact synthetic world
-//!   (404 groups, ~68k candidate scorings over 242 rounds) this runs the
-//!   full Equation 9 mode in ~0.06 s versus ~1.3 s for the pre-index
-//!   full-scan scorer — a ~22× speedup with bit-identical selections (see
-//!   `docs/PERFORMANCE.md` and `BENCH_incheu.json` for the methodology
-//!   and current numbers).
+//!   (404 groups, ~68k candidate scorings over 242 rounds) this ran the
+//!   full Equation 9 mode in ~0.05 s versus ~1.0 s for the pre-index
+//!   full-scan scorer — a ~20× speedup with bit-identical selections (see
+//!   `docs/PERFORMANCE.md`; the last recorded run is
+//!   `git show 81c7df2:BENCH_incheu.json`).
 //! - [`DeltaHMode::Full`] sums both terms (the literal collective-entropy
 //!   objective); it inherits Equation 9's cascade on adversarial
 //!   geometries.

@@ -1,6 +1,7 @@
 //! Integration tests for the telemetry layer: counter conservation across
 //! the pruning tiers, agreement between observer records and engine
-//! results, and iteration records from the convergence-loop baselines.
+//! results, iteration records from the convergence-loop baselines, and a
+//! disabled observer that no emission site may reach.
 //!
 //! The whole file is gated on the `obs` feature — with emission compiled
 //! out a `RecordingObserver` legitimately records nothing.
@@ -9,7 +10,9 @@
 
 use corroborate_algorithms::galland::{Cosine, ThreeEstimates, TwoEstimates};
 use corroborate_algorithms::inc::{DeltaHMode, IncEstHeu, IncEstimate};
-use corroborate_algorithms::obs::{Counter, RecordingObserver, Span};
+use corroborate_algorithms::obs::{
+    Counter, IterationRecord, Observer, RecordingObserver, RoundRecord, SelectionRecord, Span,
+};
 use corroborate_core::prelude::*;
 use corroborate_datagen::motivating::motivating_example;
 use corroborate_datagen::synthetic::{generate, SyntheticConfig};
@@ -169,4 +172,59 @@ fn recording_observer_is_computation_transparent() {
         }
         assert_eq!(plain.decisions().labels(), observed.decisions().labels(), "{mode:?}");
     }
+}
+
+/// An observer that reports itself disabled and panics in every hook.
+struct Tripwire;
+
+impl Observer for Tripwire {
+    const ENABLED: bool = false;
+
+    fn add(&self, counter: Counter, _: u64) {
+        panic!("disabled observer reached: add({counter:?})");
+    }
+    fn span(&self, span: Span, _: u64) {
+        panic!("disabled observer reached: span({span:?})");
+    }
+    fn selection(&self, _: &SelectionRecord) {
+        panic!("disabled observer reached: selection");
+    }
+    fn round(&self, _: &RoundRecord) {
+        panic!("disabled observer reached: round");
+    }
+    fn iteration(&self, _: &IterationRecord) {
+        panic!("disabled observer reached: iteration");
+    }
+    fn span_begin(&self, span: Span, _: u64) {
+        panic!("disabled observer reached: span_begin({span:?})");
+    }
+    fn span_end(&self, span: Span, _: u64) {
+        panic!("disabled observer reached: span_end({span:?})");
+    }
+    fn event(&self, span: Span, _: u64) {
+        panic!("disabled observer reached: event({span:?})");
+    }
+    fn timed<R>(&self, span: Span, _: impl FnOnce() -> R) -> R {
+        panic!("disabled observer reached: timed({span:?})");
+    }
+    fn traced<R>(&self, span: Span, _: u64, _: impl FnOnce() -> R) -> R {
+        panic!("disabled observer reached: traced({span:?})");
+    }
+}
+
+/// The default corroborate path runs a disabled observer, and every
+/// emission site must skip it before building a record: a site that
+/// loses its `O::ENABLED` guard trips a panic here. Runs the inc engine
+/// in all three ΔH modes and the three convergence loops to completion.
+#[test]
+fn a_disabled_observer_is_never_called() {
+    let ds = synthetic_world();
+    for mode in MODES {
+        IncEstimate::new(IncEstHeu::with_mode(mode))
+            .corroborate_observed(&ds, &Tripwire)
+            .expect("corroboration succeeds");
+    }
+    TwoEstimates::default().corroborate_observed(&ds, &Tripwire).expect("2-Estimates");
+    ThreeEstimates::default().corroborate_observed(&ds, &Tripwire).expect("3-Estimates");
+    Cosine::default().corroborate_observed(&ds, &Tripwire).expect("Cosine");
 }

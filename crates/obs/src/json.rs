@@ -152,8 +152,8 @@ impl Json {
         out
     }
 
-    /// Serialises with two-space indentation (the style of the existing
-    /// `BENCH_incheu.json` artifacts).
+    /// Serialises with two-space indentation (the style of the committed
+    /// report goldens under `tests/golden/`).
     pub fn to_json_pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

@@ -18,19 +18,24 @@
 //! Prometheus text scrape the same way, and `--trace` writes the Chrome
 //! trace-event JSON for `trace_check`.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use corroborate_obs::{chrome_trace_json, Json};
+use corroborate_serve::http::{read_response, write_request};
 use corroborate_serve::{start, ServerConfig, WalConfig};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
 /// Events the primary server's trace ring retains.
 const TRACE_CAPACITY: usize = 65_536;
+
+/// Largest response body the smoke accepts; the biggest it reads is the
+/// Prometheus scrape, ~13 KiB.
+const MAX_RESPONSE_BYTES: usize = 1 << 20;
 
 fn tempdir(name: &str) -> Result<PathBuf, String> {
     let dir = std::env::temp_dir().join(format!("corroborate-smoke-{name}-{}", std::process::id()));
@@ -39,6 +44,8 @@ fn tempdir(name: &str) -> Result<PathBuf, String> {
     Ok(dir)
 }
 
+/// One request on a fresh connection, through the service's own client
+/// codec.
 fn request(
     addr: SocketAddr,
     method: &str,
@@ -47,36 +54,11 @@ fn request(
 ) -> Result<(u16, String), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream.set_read_timeout(Some(Duration::from_secs(10))).map_err(|e| format!("timeout: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(|e| format!("write: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).map_err(|e| format!("read status: {e}"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).map_err(|e| format!("read header: {e}"))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().map_err(|e| format!("content-length: {e}"))?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| format!("read body: {e}"))?;
-    Ok((status, String::from_utf8_lossy(&body).into_owned()))
+    write_request(&mut &stream, method, path, body.as_bytes(), false)
+        .map_err(|e| format!("{method} {path}: write: {e}"))?;
+    let response = read_response(&mut BufReader::new(&stream), MAX_RESPONSE_BYTES)
+        .map_err(|e| format!("{method} {path}: read: {e:?}"))?;
+    Ok((response.status, String::from_utf8_lossy(&response.body).into_owned()))
 }
 
 fn check(condition: bool, what: &str) -> Result<(), String> {

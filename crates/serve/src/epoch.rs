@@ -740,4 +740,70 @@ mod tests {
         assert!(view.fact_by_name("nope").is_none());
         assert_eq!(view.probabilities().count(), 0);
     }
+
+    /// A small-delta epoch is O(delta), not O(dataset), whether or not it
+    /// registers a name: on an 8k-fact world every `Auto` epoch after the
+    /// first full one stays incremental, runs no rounds, re-scores only
+    /// facts its delta names, and never materialises the view's dataset.
+    /// The shapes are 1, 16 and 256 random casts on known names, and one
+    /// new fact carrying one cast (the shape of a probe write).
+    #[test]
+    fn small_delta_epochs_stay_incremental_at_scale() {
+        use corroborate_datagen::synthetic::{generate, SyntheticConfig};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        let cfg =
+            SyntheticConfig { n_accurate: 8, n_inaccurate: 2, n_facts: 8_000, eta: 0.02, seed: 42 };
+        let world = generate(&cfg).unwrap().dataset;
+        let mut e = EpochEngine::new(EpochConfig::default()).unwrap();
+        for m in DeltaDataset::mutations_of(&world) {
+            e.apply(&m).unwrap();
+        }
+        let (_, stats) = e.run_epoch(EpochMode::Auto).unwrap();
+        assert!(stats.full);
+
+        let mut rng = StdRng::seed_from_u64(7);
+        for (casts, new_fact) in [(1, false), (16, false), (256, false), (1, true)] {
+            let d = e.delta();
+            let mut delta: Vec<Mutation> = (0..casts)
+                .map(|_| {
+                    let source = d.source_name(SourceId::new(rng.gen_range(0..d.n_sources())));
+                    let fact = d.fact_name(FactId::new(rng.gen_range(0..d.n_facts())));
+                    cast(source, fact, if rng.gen_bool(0.8) { Vote::True } else { Vote::False })
+                })
+                .collect();
+            if new_fact {
+                let name = format!("new-fact-{}", d.n_facts());
+                if let Some(Mutation::Cast { fact, .. }) = delta.last_mut() {
+                    fact.clone_from(&name);
+                }
+                delta.insert(0, Mutation::AddFact { name, label: None });
+            }
+            let named: BTreeSet<&str> = delta
+                .iter()
+                .map(|m| match m {
+                    Mutation::Cast { fact, .. } | Mutation::AddFact { name: fact, .. } => {
+                        fact.as_str()
+                    }
+                    Mutation::AddSource { .. } => unreachable!("the delta registers no source"),
+                })
+                .collect();
+
+            for m in &delta {
+                e.apply(m).unwrap();
+            }
+            let (view, stats) = e.run_epoch(EpochMode::Auto).unwrap();
+            let shape = format!("{casts} casts, new fact: {new_fact}");
+            assert!(!stats.full, "{shape}: escalated to a full epoch");
+            assert_eq!(stats.rounds, 0, "{shape}: an incremental epoch runs no rounds");
+            assert!(
+                stats.facts_rescored <= named.len(),
+                "{shape}: re-scored {} facts for a delta naming {}",
+                stats.facts_rescored,
+                named.len()
+            );
+            assert!(view.dataset.get().is_none(), "{shape}: the epoch materialised the dataset");
+        }
+    }
 }

@@ -243,8 +243,8 @@ pub fn write_response_headers(
 }
 
 // ---------------------------------------------------------------------------
-// Client side: the replica fetch loop and the load generator speak the same
-// HTTP/1.1 subset back at the server.
+// Client side: the replica fetch loop, the ledger's client and `serve_smoke`
+// speak the same HTTP/1.1 subset back at the server.
 
 /// One parsed client-side response.
 #[derive(Debug, Clone, PartialEq, Eq)]

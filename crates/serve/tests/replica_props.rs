@@ -7,7 +7,7 @@
 //! The replica's epoch schedule mirrors the primary's (one `Auto` epoch
 //! per applied batch when mutations are pending), so intermediate views
 //! are bit-identical, which is exactly what `/cluster` in-sync reporting
-//! and the loadgen's fingerprint check rely on.
+//! and the ledger's primary == replica gate rely on.
 
 use std::path::Path;
 use std::sync::Arc;
