@@ -38,7 +38,8 @@ pub enum Span {
     Epoch,
     /// One record appended (and optionally synced) to the write-ahead log.
     WalAppend,
-    /// One group-commit batch framed, written, and handed to the syncer.
+    /// One group-commit batch framed, written, fsynced (when configured),
+    /// and shipped.
     WalBatch,
     /// One `fsync` of the write-ahead log file (durability flush).
     WalFsync,

@@ -57,7 +57,7 @@ fn request(
     write_request(&mut &stream, method, path, body.as_bytes(), false)
         .map_err(|e| format!("{method} {path}: write: {e}"))?;
     let response = read_response(&mut BufReader::new(&stream), MAX_RESPONSE_BYTES)
-        .map_err(|e| format!("{method} {path}: read: {e:?}"))?;
+        .map_err(|e| format!("{method} {path}: read: {e}"))?;
     Ok((response.status, String::from_utf8_lossy(&response.body).into_owned()))
 }
 

@@ -126,12 +126,6 @@ impl ClusterState {
         self.snapshot().iter().map(|r| ship.lag_seconds(r.applied_seq)).fold(0.0, f64::max)
     }
 
-    /// Smallest applied seq across all known replicas (`None` with no
-    /// replicas) — the cluster-wide catch-up floor.
-    pub fn min_applied_seq(&self) -> Option<u64> {
-        self.lock().values().map(|r| r.applied_seq).min()
-    }
-
     /// Renders the `GET /cluster` membership document.
     pub fn to_json(&self, ship: &ShipLog, primary: &PrimaryStatus) -> Json {
         let now = ship.now_nanos();
@@ -208,13 +202,15 @@ mod tests {
     }
 
     #[test]
-    fn latest_heartbeat_per_id_wins_and_floor_tracks_the_minimum() {
+    fn latest_heartbeat_per_id_wins() {
         let cluster = ClusterState::new();
         cluster.heartbeat(status("r1", 5));
         cluster.heartbeat(status("r2", 9));
         cluster.heartbeat(status("r1", 8));
         assert_eq!(cluster.replica_count(), 2);
-        assert_eq!(cluster.min_applied_seq(), Some(8));
+        let applied: Vec<(String, u64)> =
+            cluster.snapshot().into_iter().map(|r| (r.id, r.applied_seq)).collect();
+        assert_eq!(applied, vec![("r1".to_string(), 8), ("r2".to_string(), 9)]);
     }
 
     #[test]

@@ -72,8 +72,6 @@ impl Default for EpochConfig {
 pub enum EpochMode {
     /// Incremental unless the invalidated fraction crosses the threshold.
     Auto,
-    /// Force group re-scoring under the cached trust snapshot.
-    Incremental,
     /// Force a complete IncEstimate re-run.
     Full,
 }
@@ -374,7 +372,6 @@ impl EpochEngine {
             if n_facts == 0 { 0.0 } else { self.delta.dirty_count() as f64 / n_facts as f64 };
         let full = match mode {
             EpochMode::Full => true,
-            EpochMode::Incremental => false,
             EpochMode::Auto => {
                 self.needs_full || invalidated_fraction >= self.config.full_recompute_threshold
             }

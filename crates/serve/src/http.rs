@@ -55,6 +55,26 @@ pub enum HttpError {
     Io(std::io::Error),
 }
 
+impl std::fmt::Display for HttpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HttpError::Closed => f.write_str("connection closed"),
+            HttpError::BadRequest(message) => f.write_str(message),
+            HttpError::PayloadTooLarge { limit } => write!(f, "body exceeds {limit} bytes"),
+            HttpError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for HttpError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            HttpError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 impl From<std::io::Error> for HttpError {
     fn from(e: std::io::Error) -> Self {
         HttpError::Io(e)

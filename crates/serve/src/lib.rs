@@ -8,11 +8,11 @@
 //! - `cow` (private) — the chunked copy-on-write column and hash-sharded
 //!   copy-on-write name map that make a [`DeltaDataset`] clone cheap.
 //! - [`wal`] — group-commit, segmented write-ahead log: one framed,
-//!   CRC'd record and one (pipelined) fsync per linger batch, bounded
-//!   `wal.NNNNNN.seg` segments with a CRC'd manifest, in-order replay,
-//!   and background snapshot compaction. A
-//!   snapshot is one frame of the same codec, so recovery, shipping, and
-//!   replica resync share one decoder and one CRC.
+//!   CRC'd record and one fsync per linger batch, done before the append
+//!   returns; bounded `wal.NNNNNN.seg` segments with a CRC'd manifest,
+//!   in-order replay, and background snapshot compaction. A snapshot is
+//!   one frame of the same codec, so recovery, shipping, and replica
+//!   resync share one decoder and one CRC.
 //! - [`walfs`] — the pluggable [`WalFs`]/[`WalFile`] I/O layer: real
 //!   `std::fs` ([`StdFs`]) plus the deterministic fault-injecting
 //!   [`FaultFs`] that the crash-recovery matrix drives.

@@ -52,10 +52,10 @@ use corroborate_obs::{Counter, Json, Observer, Span};
 use crate::cluster::ReplicaStatus;
 use crate::epoch::{EpochConfig, EpochEngine, EpochMode, Published, VerdictView};
 use crate::error::ServeError;
-use crate::http::{read_response, write_request, HttpError, Request};
+use crate::http::{read_response, write_request, Request};
 use crate::metrics::ServeMetrics;
 use crate::shell::{read_routes, Reply, Routes, Shell, ShellConfig, Shutdown};
-use crate::ship::TAIL_WAIT_CAP;
+use crate::ship::{ShipSegment, TAIL_WAIT_CAP};
 use crate::wal::{replace_with_snapshot, scan_frames, Wal, WalConfig};
 use crate::walfs::{FaultFs, StdFs, WalFs};
 
@@ -285,6 +285,9 @@ struct PrimaryClient {
     timeout: Duration,
     max_body: usize,
     conn: Option<(BufReader<TcpStream>, TcpStream)>,
+    /// Where the open connection is registered, so that
+    /// [`ReplicaHandle::shutdown`] can cut it.
+    shared: Arc<ReplicaShared>,
 }
 
 /// A fetched response, decoupled from the transport error type.
@@ -294,22 +297,29 @@ struct Fetched {
 }
 
 impl PrimaryClient {
-    fn new(addr: String, timeout: Duration, max_body: usize) -> Self {
-        Self { addr, timeout, max_body, conn: None }
+    fn new(addr: String, timeout: Duration, max_body: usize, shared: Arc<ReplicaShared>) -> Self {
+        Self { addr, timeout, max_body, conn: None, shared }
     }
 
     /// Drops the cached connection; the next request reconnects.
     fn reset(&mut self) {
         self.conn = None;
+        self.shared.update_progress(|p| p.fetch_conn = None);
     }
 
+    /// Opens and registers a connection unless one is cached.
     fn connect(&mut self) -> Result<(), String> {
+        if self.conn.is_some() {
+            return Ok(());
+        }
         let stream =
             TcpStream::connect(&self.addr).map_err(|e| format!("connect {}: {e}", self.addr))?;
         stream.set_read_timeout(Some(self.timeout)).map_err(|e| format!("timeout: {e}"))?;
         stream.set_write_timeout(Some(self.timeout)).map_err(|e| format!("timeout: {e}"))?;
         let _ = stream.set_nodelay(true);
         let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
+        let registered = Arc::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
+        self.shared.update_progress(|p| p.fetch_conn = Some(registered));
         self.conn = Some((reader, stream));
         Ok(())
     }
@@ -317,12 +327,10 @@ impl PrimaryClient {
     /// One request/response over the cached connection (reconnecting
     /// first if needed); any transport error tears the connection down.
     fn request(&mut self, method: &str, path: &str, body: &[u8]) -> Result<Fetched, String> {
-        if self.conn.is_none() {
-            self.connect()?;
-        }
+        self.connect()?;
         let result = self.exchange(method, path, body);
         if result.is_err() {
-            self.conn = None;
+            self.reset();
         }
         result
     }
@@ -333,14 +341,8 @@ impl PrimaryClient {
         };
         write_request(writer, method, path, body, true)
             .map_err(|e| format!("{method} {path}: {e}"))?;
-        let response = read_response(reader, self.max_body).map_err(|e| match e {
-            HttpError::Closed => format!("{method} {path}: connection closed"),
-            HttpError::BadRequest(m) => format!("{method} {path}: bad response: {m}"),
-            HttpError::PayloadTooLarge { limit } => {
-                format!("{method} {path}: response exceeds {limit} bytes")
-            }
-            HttpError::Io(e) => format!("{method} {path}: {e}"),
-        })?;
+        let response =
+            read_response(reader, self.max_body).map_err(|e| format!("{method} {path}: {e}"))?;
         Ok(Fetched { status: response.status, body: response.body })
     }
 }
@@ -355,6 +357,9 @@ struct Progress {
     caught_up: bool,
     resyncs: u64,
     last_error: Option<String>,
+    /// The fetch thread's open connection to the primary, kept under this
+    /// lock so [`ReplicaHandle::shutdown`] can cut a parked long poll.
+    fetch_conn: Option<Arc<TcpStream>>,
 }
 
 /// State shared by the fetch thread and the serve-shell workers.
@@ -425,6 +430,8 @@ impl Fetcher {
                         self.send_heartbeat();
                     }
                 }
+                // The handle cut the connection to stop a long poll.
+                Err(_) if self.shared.shutdown.requested() => {}
                 Err(message) => {
                     self.record_error(message);
                     self.client.reset();
@@ -443,6 +450,13 @@ impl Fetcher {
     fn step(&mut self) -> Result<(), String> {
         let from = self.core.applied_seq().saturating_add(1);
         let path = if self.shared.caught_up() {
+            // Register the connection before the last look at the flag: a
+            // shutdown requested earlier is seen here, a later one cuts
+            // the connection the poll parks on.
+            self.client.connect()?;
+            if self.shared.shutdown.requested() {
+                return Ok(());
+            }
             format!("/wal/tail?from_seq={from}&wait_ms={}", self.tail_wait_ms)
         } else {
             format!("/wal/tail?from_seq={from}")
@@ -532,34 +546,30 @@ impl Fetcher {
             self.record_error("replica is ahead of the primary's history".to_string());
             return self.full_resync();
         }
-        let mut segments: Vec<(u64, u64, u64)> = Vec::new();
-        for entry in root.get("segments").and_then(Json::as_array).unwrap_or(&[]) {
-            let seg = |key: &str| -> Option<u64> {
-                entry.get(key)?.as_i64().and_then(|v| u64::try_from(v).ok())
-            };
-            if let (Some(id), Some(first), Some(last)) =
-                (seg("segment"), seg("first_seq"), seg("last_seq"))
-            {
-                segments.push((first, last, id));
-            }
-        }
-        segments.sort_unstable();
+        let mut segments: Vec<ShipSegment> = root
+            .get("segments")
+            .and_then(Json::as_array)
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(ShipSegment::from_json)
+            .collect();
+        segments.sort_unstable_by_key(|s| (s.first_seq, s.last_seq, s.id));
         let from = self.core.applied_seq().saturating_add(1);
-        let available_from = segments.first().map_or(tail_floor_seq, |s| s.0);
+        let available_from = segments.first().map_or(tail_floor_seq, |s| s.first_seq);
         if from < available_from {
             // Everything between the replica and the oldest shipped
             // segment lives only in the primary's snapshot now.
             return self.full_resync();
         }
-        for (first, last, id) in segments {
+        for ShipSegment { id, first_seq, last_seq, .. } in segments {
             if self.shared.shutdown.requested() {
                 return Ok(());
             }
             let from = self.core.applied_seq().saturating_add(1);
-            if last < from {
+            if last_seq < from {
                 continue;
             }
-            if first > from {
+            if first_seq > from {
                 // A hole between sealed segments: compaction raced us;
                 // restart catch-up from the fresh index next poll.
                 return Ok(());
@@ -656,6 +666,7 @@ impl Fetcher {
         }
         let _ = self.core.flush();
         self.send_heartbeat();
+        self.client.reset();
     }
 }
 
@@ -713,14 +724,19 @@ impl ReplicaHandle {
 
     /// Drains the replica: one final full epoch, journal flush, worker
     /// join. Returns the final published view. The fetch thread stops
-    /// after its current step; for a caught-up replica that is a long
-    /// poll, which the primary answers within [`TAIL_WAIT_CAP`].
+    /// after its current step; a long poll parked at the primary is cut
+    /// short by shutting its connection down.
     ///
     /// # Errors
     /// Currently infallible; the signature reserves room for surfacing
     /// drain failures.
     pub fn shutdown(mut self) -> Result<Arc<VerdictView>, ServeError> {
         self.shared.shutdown.request();
+        let conn =
+            self.shared.progress.lock().unwrap_or_else(PoisonError::into_inner).fetch_conn.take();
+        if let Some(conn) = conn {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
         if let Some(handle) = self.fetcher.take() {
             let _ = handle.join();
         }
@@ -775,7 +791,12 @@ pub fn start(config: ReplicaConfig) -> Result<ReplicaHandle, ServeError> {
 
     let fetcher = Fetcher {
         core,
-        client: PrimaryClient::new(config.primary, config.request_timeout, config.max_fetch_bytes),
+        client: PrimaryClient::new(
+            config.primary,
+            config.request_timeout,
+            config.max_fetch_bytes,
+            Arc::clone(&shared),
+        ),
         shared: Arc::clone(&shared),
         fs,
         dir,

@@ -593,7 +593,7 @@ fn epoch_loop(
         if closed {
             // Final durability point: fold everything into the snapshot.
             if let Some(wal) = wal.as_mut() {
-                wal.compact_observed(engine.delta(), obs)?;
+                wal.compact(engine.delta())?;
                 shared.metrics.observer().add(Counter::SnapshotsWritten, 1);
             }
             return Ok(());
@@ -615,7 +615,9 @@ fn epoch_step(
     if !batch.is_empty() {
         if let Some(wal) = wal.as_deref_mut() {
             // Group commit: the whole linger batch becomes one framed WAL
-            // record with one CRC and one (pipelined) fsync.
+            // record with one CRC and, when fsync is on, one fsync that
+            // returns before the append does: the frame is durable and
+            // shipped before the epoch below publishes it.
             let receipt = obs.traced(Span::WalBatch, batch.len() as u64, || {
                 wal.append_batch_observed(batch, obs)
             })?;
@@ -647,14 +649,10 @@ fn epoch_step(
         });
         shared.metrics.note_epoch_published();
     }
-    // Every tick, idle ones too: the last write's pipelined fsync must be
-    // confirmed (so its frame ships to replicas), and a background snapshot
-    // that finishes after the last write must land (advance `snapshot_seq`,
-    // prune the segments it covers), without waiting for the next write.
+    // Every tick, idle ones too: a background snapshot that finishes after
+    // the last write must land (advance `snapshot_seq`, prune the segments
+    // it covers), without waiting for the next write.
     if let Some(wal) = wal {
-        if let Some(nanos) = wal.poll_fsync_observed(obs)? {
-            shared.metrics.note_fsync(nanos);
-        }
         if wal.maybe_compact(engine.delta())? {
             obs.add(Counter::SnapshotsWritten, 1);
         }

@@ -19,10 +19,11 @@
 //! next frame lands, the primary starts draining ([`ShipLog::drain`]), or
 //! at most [`TAIL_WAIT_CAP`] passes.
 //!
-//! Frames enter the log only once durable on the primary (after their
-//! pipelined fsync completes, or immediately when fsync is off): a replica
-//! can never observe state a primary crash would roll back, so after a
-//! primary restart every replica is a prefix — never ahead.
+//! Frames enter the log only once durable on the primary: the WAL append
+//! that writes a frame hands it over after the frame's fsync returns, or
+//! right after the write when fsync is off. A replica can never observe
+//! state a primary crash would roll back, so after a primary restart
+//! every replica is a prefix — never ahead.
 //!
 //! This module is inside the determinism and checked-arithmetic audit
 //! scopes: no wall clocks (timestamps come from an injected clock
@@ -60,6 +61,33 @@ pub struct ShipSegment {
     pub last_seq: u64,
     /// Decodable byte length (the CRC-valid prefix).
     pub bytes: u64,
+}
+
+impl ShipSegment {
+    /// The segment as one entry of the WAL manifest's `sealed` list and of
+    /// the ship index's `segments` list. The manifest's CRC is computed
+    /// over its JSON text, so the key order must not change.
+    pub(crate) fn to_json(self) -> Json {
+        let mut e = Json::object();
+        e.insert("segment", self.id);
+        e.insert("first_seq", self.first_seq);
+        e.insert("last_seq", self.last_seq);
+        e.insert("bytes", self.bytes);
+        e
+    }
+
+    /// Parses a [`Self::to_json`] entry; `None` if a field is missing or
+    /// not a non-negative integer.
+    pub(crate) fn from_json(entry: &Json) -> Option<Self> {
+        let field =
+            |key: &str| entry.get(key).and_then(Json::as_i64).and_then(|v| u64::try_from(v).ok());
+        Some(Self {
+            id: field("segment")?,
+            first_seq: field("first_seq")?,
+            last_seq: field("last_seq")?,
+            bytes: field("bytes")?,
+        })
+    }
 }
 
 /// One durable group-commit frame retained in the tail buffer.
@@ -275,19 +303,7 @@ impl ShipLog {
         root.insert("snapshot_seq", inner.snapshot_seq);
         root.insert("next_seq", inner.next_seq);
         root.insert("tail_floor_seq", inner.frames.front().map_or(inner.next_seq, |f| f.first_seq));
-        let segments: Vec<Json> = inner
-            .sealed
-            .iter()
-            .map(|s| {
-                let mut e = Json::object();
-                e.insert("segment", s.id);
-                e.insert("first_seq", s.first_seq);
-                e.insert("last_seq", s.last_seq);
-                e.insert("bytes", s.bytes);
-                e
-            })
-            .collect();
-        root.insert("segments", Json::Arr(segments));
+        root.insert("segments", Json::Arr(inner.sealed.iter().map(|s| s.to_json()).collect()));
         root
     }
 

@@ -19,17 +19,12 @@
 //! (`wal.000001.seg`, …) described by a small CRC'd manifest; only the
 //! highest-numbered segment may carry a torn tail — corruption in a sealed
 //! segment is a hard error (data loss, not a crash artefact). Replay
-//! decodes segments in parallel on scoped threads and merges them in
-//! segment order, so recovery is bit-identical to the append stream.
+//! decodes the segments in order on the calling thread, so recovery is
+//! bit-identical to the append stream.
 //!
-//! The fsync path is **pipelined**: the frame is written, then handed to a
-//! long-lived syncer thread, and the *next* append collects the completed
-//! fsync — encoding batch N+1 overlaps the in-flight fsync of batch N
-//! (double-buffered frame encoding). A batch's durability therefore lands
-//! one batch late; [`Wal::flush`] and sealing are the synchronous barriers,
-//! and [`Wal::poll_fsync_observed`] collects a finished fsync without
-//! blocking (the epoch loop calls it on every tick, so an idle log still
-//! confirms — and ships — its last frame).
+//! With [`WalConfig::fsync`] set, [`Wal::append_batch`] fsyncs the frame
+//! it wrote on the calling thread before it returns: an `Ok` means the
+//! batch is durable. A failed fsync fails the append that wrote the frame.
 //!
 //! When [`WalConfig::compact_after_records`] records accumulate, the
 //! active segment is sealed and a snapshot of the whole dataset state is
@@ -53,15 +48,14 @@
 //! [`crate::walfs::FaultFs`].
 //!
 //! With a [`ShipLog`] attached (see [`Wal::attach_shipper`]) the log also
-//! feeds replication: each frame is handed to the shipper once it is
-//! **durable** — immediately after the write when fsync is off, after its
-//! pipelined fsync is confirmed otherwise — so a replica can never observe
+//! feeds replication: [`Wal::append_batch`] hands each frame to the
+//! shipper once it is **durable** — right after the write when fsync is
+//! off, right after its fsync otherwise — so a replica can never observe
 //! state a primary crash would roll back. Seals and compactions keep the
 //! shipper's segment index in step with the disk.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -85,8 +79,9 @@ fn saturating_nanos(start: Instant) -> u64 {
 pub struct WalConfig {
     /// Snapshot-compact once this many records accumulate in the log.
     pub compact_after_records: u64,
-    /// Fsync batch frames (pipelined through the syncer thread) and seals.
-    /// Durable but slower; benches and most tests leave it off.
+    /// Fsync each batch frame before its append returns, and fsync seals,
+    /// manifests and snapshots. Durable but slower; most tests leave it
+    /// off.
     pub fsync: bool,
     /// Roll to a fresh segment once the active one reaches this many bytes.
     pub segment_bytes: u64,
@@ -415,44 +410,24 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
 // ---------------------------------------------------------------------------
 // Segments and the manifest
 
-/// A sealed segment, as tracked in memory and listed in the manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SegmentMeta {
-    id: u64,
-    first_seq: u64,
-    last_seq: u64,
-    bytes: u64,
-}
-
 /// Advisory manifest contents; recovery treats the directory scan as
 /// authoritative and uses this only to demand that the snapshot covers
 /// `snapshot_seq` and that listed-but-missing segments are fully covered
 /// by the snapshot.
 struct ManifestInfo {
     snapshot_seq: u64,
-    sealed: Vec<SegmentMeta>,
+    sealed: Vec<ShipSegment>,
 }
 
 /// Canonical manifest JSON (without the `crc` key) — both the writer and
 /// the verifier serialize through here, so the digest can't drift.
-fn manifest_body(active: u64, snapshot_seq: u64, sealed: &[SegmentMeta]) -> Json {
+fn manifest_body(active: u64, snapshot_seq: u64, sealed: &[ShipSegment]) -> Json {
     let mut root = Json::object();
     root.insert("report", "corroborate_wal_manifest");
     root.insert("schema_version", 1u64);
     root.insert("active", active);
     root.insert("snapshot_seq", snapshot_seq);
-    let entries: Vec<Json> = sealed
-        .iter()
-        .map(|m| {
-            let mut e = Json::object();
-            e.insert("segment", m.id);
-            e.insert("first_seq", m.first_seq);
-            e.insert("last_seq", m.last_seq);
-            e.insert("bytes", m.bytes);
-            e
-        })
-        .collect();
-    root.insert("sealed", Json::Arr(entries));
+    root.insert("sealed", Json::Arr(sealed.iter().map(|s| s.to_json()).collect()));
     root
 }
 
@@ -464,17 +439,12 @@ fn read_manifest(fs: &dyn WalFs, dir: &Path) -> Option<ManifestInfo> {
         |key: &str| root.get(key).and_then(Json::as_i64).and_then(|v| u64::try_from(v).ok());
     let active = field("active")?;
     let snapshot_seq = field("snapshot_seq")?;
-    let mut sealed = Vec::new();
-    for entry in root.get("sealed")?.as_array()? {
-        let f =
-            |key: &str| entry.get(key).and_then(Json::as_i64).and_then(|v| u64::try_from(v).ok());
-        sealed.push(SegmentMeta {
-            id: f("segment")?,
-            first_seq: f("first_seq")?,
-            last_seq: f("last_seq")?,
-            bytes: f("bytes")?,
-        });
-    }
+    let sealed: Vec<ShipSegment> = root
+        .get("sealed")?
+        .as_array()?
+        .iter()
+        .map(ShipSegment::from_json)
+        .collect::<Option<_>>()?;
     let stored = root.get("crc").and_then(Json::as_str)?;
     let expected = format!(
         "{:016x}",
@@ -498,10 +468,7 @@ pub struct BatchReceipt {
     pub count: u64,
     /// Framed bytes written (header + payload).
     pub bytes: u64,
-    /// Latency of the most recently *completed* pipelined fsync, if one
-    /// finished during this append. The fsync for this very batch is still
-    /// in flight — durability runs one batch behind the write (see the
-    /// module docs); [`Wal::flush`] is the synchronous barrier.
+    /// Latency of this batch's own fsync; `None` when fsync is off.
     pub fsync_nanos: Option<u64>,
     /// Whether this append rolled the log into a fresh segment.
     pub sealed: bool,
@@ -520,42 +487,6 @@ pub struct Recovery {
     pub dropped_torn_tail: bool,
     /// Segment files decoded during replay.
     pub segments: u64,
-}
-
-/// Completed-fsync notification from the syncer thread.
-type SyncDone = (io::Result<()>, u64, u64); // (result, nanos, first_seq)
-
-/// The long-lived fsync pipeline: one request in flight at a time.
-#[derive(Debug)]
-struct Syncer {
-    tx: Sender<(Box<dyn WalFile>, u64)>,
-    rx: Receiver<SyncDone>,
-    handle: Option<JoinHandle<()>>,
-    in_flight: bool,
-}
-
-fn spawn_syncer() -> io::Result<Syncer> {
-    let (req_tx, req_rx) = std::sync::mpsc::channel::<(Box<dyn WalFile>, u64)>();
-    let (done_tx, done_rx) = std::sync::mpsc::channel::<SyncDone>();
-    let handle = std::thread::Builder::new().name("wal-syncer".into()).spawn(move || {
-        while let Ok((mut file, first_seq)) = req_rx.recv() {
-            let start = Instant::now();
-            let result = file.sync_data();
-            if done_tx.send((result, saturating_nanos(start), first_seq)).is_err() {
-                return;
-            }
-        }
-    })?;
-    Ok(Syncer { tx: req_tx, rx: done_rx, handle: Some(handle), in_flight: false })
-}
-
-/// A frame written but whose pipelined fsync has not yet been confirmed;
-/// held back from the ship log until it is durable.
-#[derive(Debug)]
-struct PendingShip {
-    first_seq: u64,
-    last_seq: u64,
-    bytes: Vec<u8>,
 }
 
 /// In-flight background snapshot compaction.
@@ -579,33 +510,22 @@ pub struct Wal {
     active_bytes: u64,
     active_first_seq: Option<u64>,
     active_last_seq: u64,
-    sealed: Vec<SegmentMeta>,
+    sealed: Vec<ShipSegment>,
     next_seq: u64,
     records_since_snapshot: u64,
     /// Highest sequence folded into the on-disk snapshot.
     snapshot_seq: u64,
-    /// Double buffer: encode the next frame while the previous fsync is in
-    /// flight, without reallocating.
-    bufs: [Vec<u8>; 2],
-    which: usize,
-    syncer: Option<Syncer>,
+    /// Frame encoding buffer, reused across appends.
+    buf: Vec<u8>,
     compaction: Option<CompactionTask>,
     /// Replication feed, when attached (see [`Wal::attach_shipper`]).
     shipper: Option<Arc<ShipLog>>,
-    /// Frame awaiting fsync confirmation before it may be shipped.
-    pending_ship: Option<PendingShip>,
 }
 
 impl Drop for Wal {
     fn drop(&mut self) {
         if let Some(task) = self.compaction.take() {
             let _ = task.handle.join();
-        }
-        if let Some(mut syncer) = self.syncer.take() {
-            drop(syncer.tx);
-            if let Some(handle) = syncer.handle.take() {
-                let _ = handle.join();
-            }
         }
     }
 }
@@ -805,7 +725,7 @@ impl Wal {
                     last_seg_first = seg_first;
                     last_seg_last = seg_last;
                 } else if let Some(first) = seg_first {
-                    sealed.push(SegmentMeta {
+                    sealed.push(ShipSegment {
                         id,
                         first_seq: first,
                         last_seq: seg_last,
@@ -848,12 +768,9 @@ impl Wal {
             next_seq,
             records_since_snapshot: replayed,
             snapshot_seq,
-            bufs: [Vec::new(), Vec::new()],
-            which: 0,
-            syncer: None,
+            buf: Vec::new(),
             compaction: None,
             shipper: None,
-            pending_ship: None,
         };
         let recovery = Recovery { dataset, next_seq, replayed, dropped_torn_tail, segments };
         Ok((wal, recovery))
@@ -869,36 +786,23 @@ impl Wal {
         self.append_batch(std::slice::from_ref(mutation)).map(|r| r.first_seq)
     }
 
-    /// [`Self::append`] with telemetry; returns the sequence number and
-    /// the latency of the most recently completed pipelined fsync (see
-    /// [`BatchReceipt::fsync_nanos`]).
-    ///
-    /// # Errors
-    /// I/O failures.
-    pub fn append_observed<O: Observer>(
-        &mut self,
-        mutation: &Mutation,
-        obs: &O,
-    ) -> Result<(u64, Option<u64>), ServeError> {
-        let receipt = self.append_batch_observed(std::slice::from_ref(mutation), obs)?;
-        Ok((receipt.first_seq, receipt.fsync_nanos))
-    }
-
     /// Group commit: frames the whole batch as one record with one CRC,
-    /// writes it in a single `write_all`, and hands it to the pipelined
-    /// fsync. An empty batch is a no-op.
+    /// writes it in a single `write_all`, fsyncs it when
+    /// [`WalConfig::fsync`] is set, and only then hands it to the attached
+    /// [`ShipLog`]. So with fsync on, an `Ok` means the batch is durable
+    /// and shipped. An empty batch is a no-op.
     ///
     /// # Errors
-    /// I/O failures — including a *previous* batch's fsync failure
-    /// surfacing here (the pipeline runs one batch behind).
+    /// I/O failures, this batch's own fsync failure included (its frame
+    /// is then not shipped).
     pub fn append_batch(&mut self, batch: &[Mutation]) -> Result<BatchReceipt, ServeError> {
         self.append_batch_observed(batch, &NOOP)
     }
 
     /// [`Self::append_batch`] with telemetry: the frame write runs under
-    /// [`Span::WalAppend`] (payload: first sequence), a segment roll under
-    /// [`Span::WalSeal`], and a completed pipelined fsync emits
-    /// [`Span::WalFsync`] on this thread.
+    /// [`Span::WalAppend`] and its fsync under [`Span::WalFsync`] (payload
+    /// of both: the first sequence), a segment roll under
+    /// [`Span::WalSeal`].
     ///
     /// # Errors
     /// I/O failures (see [`Self::append_batch`]).
@@ -917,13 +821,8 @@ impl Wal {
             });
         }
         let first_seq = self.next_seq;
-        // Encode into the staging half of the double buffer *before*
-        // draining the previous fsync — this is the overlap window.
-        let mut frame = std::mem::take(&mut self.bufs[self.which]);
-        encode_batch(&mut frame, first_seq, batch)?;
-        let frame_len = frame.len() as u64;
-
-        let fsync_nanos = self.drain_fsync(obs, true)?;
+        encode_batch(&mut self.buf, first_seq, batch)?;
+        let frame_len = self.buf.len() as u64;
 
         let mut sealed = false;
         if self.active_bytes > 0
@@ -933,10 +832,7 @@ impl Wal {
             sealed = true;
         }
 
-        let write = obs.traced(Span::WalAppend, first_seq, || self.active.write_all(&frame));
-        self.bufs[self.which] = frame;
-        self.which ^= 1;
-        write?;
+        obs.traced(Span::WalAppend, first_seq, || self.active.write_all(&self.buf))?;
 
         self.active_bytes = self.active_bytes.saturating_add(frame_len);
         if self.active_first_seq.is_none() {
@@ -953,130 +849,17 @@ impl Wal {
         })?;
         self.records_since_snapshot = self.records_since_snapshot.saturating_add(count);
 
-        // The written frame sits in the buffer half we just rotated away
-        // from. Ship it now if it is already durable (no fsync), otherwise
-        // hold it back until its pipelined fsync is confirmed.
+        let fsync_nanos =
+            if self.config.fsync { Some(self.sync_active(obs, first_seq)?) } else { None };
         if let Some(ship) = &self.shipper {
-            if self.config.fsync {
-                self.pending_ship = Some(PendingShip {
-                    first_seq,
-                    last_seq: last,
-                    bytes: self.bufs[self.which ^ 1].clone(),
-                });
-            } else {
-                ship.frame_durable(first_seq, last, &self.bufs[self.which ^ 1]);
-            }
-        }
-        if self.config.fsync {
-            self.submit_fsync(first_seq)?;
+            ship.frame_durable(first_seq, last, &self.buf);
         }
         Ok(BatchReceipt { first_seq, count, bytes: frame_len, fsync_nanos, sealed })
     }
 
-    /// Collects a pipelined fsync that has already finished, without
-    /// blocking, and ships the frame it made durable. The epoch loop calls
-    /// this on every tick, idle ones included: otherwise the last frame of
-    /// a burst would ship only when a later append, flush or seal collects
-    /// its fsync. Returns the fsync latency when one was collected; emits
-    /// [`Span::WalFsync`].
-    ///
-    /// # Errors
-    /// The collected fsync's failure (the frame never ships).
-    pub fn poll_fsync_observed<O: Observer>(&mut self, obs: &O) -> Result<Option<u64>, ServeError> {
-        self.drain_fsync(obs, false)
-    }
-
-    /// Collects the pipelined fsync, if one is in flight: waits for it when
-    /// `block`, otherwise only takes one that has finished. Emits
-    /// [`Span::WalFsync`].
-    fn drain_fsync<O: Observer>(
-        &mut self,
-        obs: &O,
-        block: bool,
-    ) -> Result<Option<u64>, ServeError> {
-        let Some(syncer) = self.syncer.as_mut() else { return Ok(None) };
-        if !syncer.in_flight {
-            return Ok(None);
-        }
-        let done = if block {
-            syncer.rx.recv().ok()
-        } else {
-            match syncer.rx.try_recv() {
-                Ok(done) => Some(done),
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => None,
-            }
-        };
-        syncer.in_flight = false;
-        match done {
-            Some((result, nanos, first_seq)) => {
-                if O::ENABLED {
-                    obs.span_begin(Span::WalFsync, first_seq);
-                    obs.span(Span::WalFsync, nanos);
-                    obs.span_end(Span::WalFsync, first_seq);
-                }
-                match result {
-                    Ok(()) => {
-                        self.promote_pending_ship();
-                        Ok(Some(nanos))
-                    }
-                    Err(e) => {
-                        // The frame never became durable; a replica must
-                        // not see it before a recovered primary would.
-                        self.pending_ship = None;
-                        Err(e.into())
-                    }
-                }
-            }
-            None => Err(ServeError::Io(io::Error::other("wal syncer thread died"))),
-        }
-    }
-
-    /// Hands the held-back frame to the ship log after a confirmed sync.
-    /// No-op without a shipper or a pending frame.
-    fn promote_pending_ship(&mut self) {
-        if let (Some(ship), Some(p)) = (&self.shipper, self.pending_ship.take()) {
-            ship.frame_durable(p.first_seq, p.last_seq, &p.bytes);
-        }
-    }
-
-    /// Hands the active segment to the syncer thread for an asynchronous
-    /// `sync_data`, spawning the thread on first use.
-    fn submit_fsync(&mut self, first_seq: u64) -> Result<(), ServeError> {
-        if self.syncer.is_none() {
-            self.syncer = Some(spawn_syncer()?);
-        }
-        if let Some(syncer) = self.syncer.as_mut() {
-            let handle = self.active.try_clone()?;
-            syncer
-                .tx
-                .send((handle, first_seq))
-                .map_err(|_| ServeError::Io(io::Error::other("wal syncer thread died")))?;
-            syncer.in_flight = true;
-        }
-        Ok(())
-    }
-
-    /// Synchronous durability barrier: drains the pipelined fsync and,
-    /// when fsync is configured, syncs the active segment. Returns the
-    /// fsync latency when one ran.
-    ///
-    /// # Errors
-    /// I/O failures.
-    pub fn flush(&mut self) -> Result<Option<u64>, ServeError> {
-        self.flush_observed(&NOOP)
-    }
-
-    /// [`Self::flush`] with telemetry ([`Span::WalFsync`]).
-    ///
-    /// # Errors
-    /// I/O failures.
-    pub fn flush_observed<O: Observer>(&mut self, obs: &O) -> Result<Option<u64>, ServeError> {
-        self.drain_fsync(obs, true)?;
-        if !self.config.fsync {
-            return Ok(None);
-        }
-        let seq = self.next_seq.saturating_sub(1);
+    /// Fsyncs the active segment under a [`Span::WalFsync`] span with
+    /// payload `seq`, returning the latency.
+    fn sync_active<O: Observer>(&mut self, obs: &O, seq: u64) -> Result<u64, ServeError> {
         if O::ENABLED {
             obs.span_begin(Span::WalFsync, seq);
         }
@@ -1088,8 +871,21 @@ impl Wal {
             obs.span_end(Span::WalFsync, seq);
         }
         synced?;
-        self.promote_pending_ship();
-        Ok(Some(nanos))
+        Ok(nanos)
+    }
+
+    /// Syncs the active segment when fsync is configured and returns the
+    /// latency. Every frame an `Ok` append wrote is already durable; this
+    /// is an explicit barrier for callers that want one.
+    ///
+    /// # Errors
+    /// I/O failures.
+    pub fn flush(&mut self) -> Result<Option<u64>, ServeError> {
+        if !self.config.fsync {
+            return Ok(None);
+        }
+        let seq = self.next_seq.saturating_sub(1);
+        self.sync_active(&NOOP, seq).map(Some)
     }
 
     /// Seals the active segment (fsync barrier, manifest rewrite) and
@@ -1098,35 +894,22 @@ impl Wal {
         if self.active_bytes == 0 {
             return Ok(());
         }
-        let sealing = self.active_id;
-        obs.span_begin(Span::WalSeal, sealing);
-        let start = Instant::now();
-        let result = self.seal_inner(obs);
-        obs.span(Span::WalSeal, saturating_nanos(start));
-        obs.span_end(Span::WalSeal, sealing);
-        result
+        obs.traced(Span::WalSeal, self.active_id, || self.seal_inner())
     }
 
-    fn seal_inner<O: Observer>(&mut self, obs: &O) -> Result<(), ServeError> {
-        self.drain_fsync(obs, true)?;
+    fn seal_inner(&mut self) -> Result<(), ServeError> {
         if self.config.fsync {
             self.active.sync_data()?;
         }
-        self.promote_pending_ship();
-        let meta = SegmentMeta {
+        let segment = ShipSegment {
             id: self.active_id,
             first_seq: self.active_first_seq.unwrap_or(self.next_seq),
             last_seq: self.active_last_seq,
             bytes: self.active_bytes,
         };
-        self.sealed.push(meta);
+        self.sealed.push(segment);
         if let Some(ship) = &self.shipper {
-            ship.segment_sealed(ShipSegment {
-                id: meta.id,
-                first_seq: meta.first_seq,
-                last_seq: meta.last_seq,
-                bytes: meta.bytes,
-            });
+            ship.segment_sealed(segment);
         }
         let next_id = self.active_id.checked_add(1).ok_or_else(|| ServeError::WalCorrupt {
             message: "segment id space exhausted".into(),
@@ -1248,22 +1031,8 @@ impl Wal {
     /// # Errors
     /// I/O failures. On error the previous snapshot (if any) is preserved.
     pub fn compact(&mut self, dataset: &DeltaDataset) -> Result<(), ServeError> {
-        self.compact_observed(dataset, &NOOP)
-    }
-
-    /// [`Self::compact`] with telemetry: the pipelined-fsync barrier this
-    /// compaction drains emits its [`Span::WalFsync`] here.
-    ///
-    /// # Errors
-    /// I/O failures (see [`Self::compact`]).
-    pub fn compact_observed<O: Observer>(
-        &mut self,
-        dataset: &DeltaDataset,
-        obs: &O,
-    ) -> Result<(), ServeError> {
         // A concurrent snapshot may land first; ours below is fresher.
         let _ = self.poll_compaction(true)?;
-        self.drain_fsync(obs, true)?;
         let snapshot_seq = self.next_seq.saturating_sub(1);
         let snapshot = encode_snapshot(dataset, snapshot_seq)?;
         write_snapshot(self.fs.as_ref(), &self.dir, &snapshot, self.config.fsync)?;
@@ -1307,23 +1076,13 @@ impl Wal {
     /// state: sealed segment metadata, the decoded frames of the active
     /// segment (all durable — they survived recovery), and the snapshot
     /// floor. Subsequent appends, seals, and compactions keep the log
-    /// current; with fsync configured a frame is only shipped once its
-    /// pipelined fsync has been confirmed, so replicas never observe
-    /// state a primary crash would roll back.
+    /// current; with fsync configured an append ships its frame only after
+    /// the frame's fsync succeeds, so replicas never observe state a
+    /// primary crash would roll back.
     ///
     /// # Errors
     /// I/O failures re-reading the active segment.
     pub fn attach_shipper(&mut self, shipper: Arc<ShipLog>) -> Result<(), ServeError> {
-        let sealed: Vec<ShipSegment> = self
-            .sealed
-            .iter()
-            .map(|m| ShipSegment {
-                id: m.id,
-                first_seq: m.first_seq,
-                last_seq: m.last_seq,
-                bytes: m.bytes,
-            })
-            .collect();
         let mut frames = Vec::new();
         if self.active_bytes > 0 {
             let bytes = self.fs.read(&seg_path(&self.dir, self.active_id))?;
@@ -1342,7 +1101,7 @@ impl Wal {
             self.dir.clone(),
             self.snapshot_seq,
             self.next_seq,
-            sealed,
+            self.sealed.clone(),
             frames,
         );
         self.shipper = Some(shipper);
@@ -1607,6 +1366,17 @@ mod tests {
     }
 
     #[test]
+    fn the_manifest_text_keeps_its_key_order() {
+        // The CRC covers this text, so manifests already on disk verify
+        // only while the writer emits exactly these bytes.
+        let sealed = [ShipSegment { id: 1, first_seq: 1, last_seq: 4, bytes: 90 }];
+        assert_eq!(
+            manifest_body(2, 0, &sealed).to_json(),
+            r#"{"report":"corroborate_wal_manifest","schema_version":1,"active":2,"snapshot_seq":0,"sealed":[{"segment":1,"first_seq":1,"last_seq":4,"bytes":90}]}"#
+        );
+    }
+
+    #[test]
     fn background_compaction_then_replay_is_equivalent() {
         let dir = tempdir("compact");
         let config =
@@ -1688,18 +1458,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_fsync_reports_latency_one_batch_late() {
-        let dir = tempdir("pipelined");
-        let config = WalConfig { fsync: true, ..WalConfig::default() };
-        let (mut wal, _) = Wal::open(&dir, config).unwrap();
-        let first = wal.append_batch(&[cast("a", "f1", Vote::True)]).unwrap();
-        assert!(first.fsync_nanos.is_none(), "first fsync still in flight");
-        let second = wal.append_batch(&[cast("b", "f1", Vote::False)]).unwrap();
-        assert!(second.fsync_nanos.is_some(), "previous fsync collected");
-        assert!(wal.flush().unwrap().is_some(), "flush is the synchronous barrier");
-    }
-
-    #[test]
     fn observed_open_and_append_emit_wal_spans() {
         use corroborate_obs::{RecordingObserver, TraceKind};
 
@@ -1710,13 +1468,12 @@ mod tests {
             let (mut wal, _) = Wal::open_observed(&dir, config, &obs).unwrap();
             let receipt = wal.append_batch_observed(&[cast("a", "f1", Vote::True)], &obs).unwrap();
             assert_eq!(receipt.first_seq, 1);
-            wal.flush_observed(&obs).unwrap();
         }
         let (_, rec) = Wal::open_observed(&dir, config, &obs).unwrap();
         assert_eq!(rec.replayed, 1);
         assert_eq!(obs.span_histogram(Span::WalReplay).count(), 2);
         assert_eq!(obs.span_histogram(Span::WalAppend).count(), 1);
-        assert!(obs.span_histogram(Span::WalFsync).count() >= 1);
+        assert_eq!(obs.span_histogram(Span::WalFsync).count(), 1, "the append's own fsync");
         assert!(obs.span_histogram(Span::SegmentReplay).count() >= 1);
         let snap = obs.trace_snapshot();
         let replay_ends: Vec<u64> = snap
@@ -1918,18 +1675,30 @@ mod tests {
 
     #[test]
     fn with_fsync_frames_ship_only_after_confirmation() {
-        let dir = tempdir("shipfsync");
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("/wal");
         let config = WalConfig { fsync: true, ..WalConfig::default() };
-        let (mut wal, _) = Wal::open(&dir, config).unwrap();
+        let (mut wal, _) = Wal::open_with(&dir, config, Arc::new(fs.clone()), &NOOP).unwrap();
         let ship = Arc::new(ShipLog::new(1 << 20));
         wal.attach_shipper(Arc::clone(&ship)).unwrap();
-        wal.append(&cast("a", "f1", Vote::True)).unwrap();
-        assert_eq!(ship.durable_seq(), 0, "fsync still in flight: frame held back");
-        wal.flush().unwrap();
-        assert_eq!(ship.durable_seq(), 1, "flush confirms durability and ships");
-        wal.append(&cast("b", "f1", Vote::False)).unwrap();
-        wal.append(&cast("c", "f1", Vote::True)).unwrap();
-        assert_eq!(ship.durable_seq(), 2, "pipelined: previous batch promoted on drain");
+        let first = wal.append_batch(&[cast("a", "f1", Vote::True)]).unwrap();
+        assert!(first.fsync_nanos.is_some(), "the append carries its own fsync");
+        assert_eq!(ship.durable_seq(), 1, "an Ok append has shipped its frame");
+        let second =
+            wal.append_batch(&[cast("b", "f1", Vote::False), cast("c", "f2", Vote::True)]).unwrap();
+        assert!(second.fsync_nanos.is_some());
+        assert_eq!(ship.durable_seq(), 3);
+
+        // The next fsync fails and drops the unsynced suffix: the append
+        // that wrote the frame returns the error, and the frame never ships.
+        fs.fail_fsync(1, true);
+        let err = wal.append_batch(&[cast("d", "f1", Vote::True)]).unwrap_err();
+        assert!(matches!(err, ServeError::Io(_)), "{err}");
+        assert_eq!(ship.durable_seq(), 3, "a frame whose fsync failed must not ship");
+        drop(wal);
+        fs.reset_faults();
+        let (_, rec) = Wal::open_with(&dir, config, Arc::new(fs), &NOOP).unwrap();
+        assert_eq!(rec.replayed, 3, "every Ok append survives");
     }
 
     #[test]

@@ -40,13 +40,6 @@ pub trait WalFile: Send + Debug {
     /// # Errors
     /// I/O failures (including injected fsync failures).
     fn sync_data(&mut self) -> io::Result<()>;
-
-    /// A second handle to the same file, so a background syncer can fsync
-    /// while the appender keeps writing.
-    ///
-    /// # Errors
-    /// I/O failures.
-    fn try_clone(&self) -> io::Result<Box<dyn WalFile>>;
 }
 
 /// The filesystem surface the WAL needs.
@@ -117,10 +110,6 @@ impl WalFile for StdFile {
 
     fn sync_data(&mut self) -> io::Result<()> {
         self.0.sync_data()
-    }
-
-    fn try_clone(&self) -> io::Result<Box<dyn WalFile>> {
-        Ok(Box::new(StdFile(self.0.try_clone()?)))
     }
 }
 
@@ -371,10 +360,6 @@ impl WalFile for FaultFile {
         }
         Ok(())
     }
-
-    fn try_clone(&self) -> io::Result<Box<dyn WalFile>> {
-        Ok(Box::new(FaultFile { store: Arc::clone(&self.store), path: self.path.clone() }))
-    }
 }
 
 impl WalFs for FaultFs {
@@ -564,8 +549,5 @@ mod tests {
         let mut f = fs.create(&p("w.seg")).unwrap();
         f.write_all(b"shared").unwrap();
         assert_eq!(fs2.read(&p("w.seg")).unwrap(), b"shared");
-        let mut h = f.try_clone().unwrap();
-        h.write_all(b"!").unwrap();
-        assert_eq!(fs.read(&p("w.seg")).unwrap(), b"shared!");
     }
 }

@@ -381,11 +381,17 @@ fn traced_server_exports_a_hierarchical_chrome_trace() {
         begins(Span::WalAppend).any(|e| begins(Span::WalBatch).any(|parent| parent.id == e.parent)),
         "the frame write nests inside its group commit"
     );
-    // Fsync is pipelined: the span surfaces when the *next* group commit
-    // (or the shutdown barrier) collects it, so it exists but is not a
-    // child of the append that submitted it.
-    let fsync = begins(Span::WalFsync).next().expect("an fsync span (fsync is on)");
-    assert!(fsync.payload >= 1, "fsync span carries the batch's first sequence");
+    // Each frame is fsynced inside the group commit that wrote it: every
+    // fsync span is a sibling of the frame write with the same first seq.
+    assert!(begins(Span::WalFsync).next().is_some(), "an fsync span (fsync is on)");
+    for fsync in begins(Span::WalFsync) {
+        let append = begins(Span::WalAppend).find(|a| a.payload == fsync.payload);
+        assert!(
+            append.is_some_and(|a| a.parent == fsync.parent),
+            "fsync of seq {} is not in the group commit that wrote it",
+            fsync.payload
+        );
+    }
     assert!(begins(Span::Request).next().is_some(), "request spans recorded");
     assert!(begins(Span::QueueDrain).next().is_some(), "queue-drain spans recorded");
     // The export round-trips through the strict JSON parser.

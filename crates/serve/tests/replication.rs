@@ -3,7 +3,8 @@
 //! after drain), the read-only serve shell, a mid-stream primary
 //! crash/restart, a late-joining replica that must snapshot-resync past
 //! compacted history, the `GET /wal/tail` long poll, the `caught_up`
-//! contract, and heartbeat timing.
+//! contract, heartbeat timing, and a replica shutdown that cuts its own
+//! long poll.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -208,8 +209,8 @@ fn an_idle_fsync_on_primary_ships_its_last_batch() {
     let addr = primary.addr();
     let replica = replica::start(replica_config(addr, "idle-1")).unwrap();
 
-    // One two-vote batch (seqs 1 and 2), then no further writes: only the
-    // idle epoch ticks can confirm its pipelined fsync and ship it.
+    // One two-vote batch (seqs 1 and 2), then no further writes: the
+    // append that fsyncs the frame ships it, with no later tick needed.
     let body = r#"{"votes":[{"source":"s0","fact":"f0","vote":"T"},{"source":"s1","fact":"f0","vote":"F"}]}"#;
     let (status, _) = request(addr, "POST", "/v1/votes", body);
     assert_eq!(status, 202);
@@ -565,6 +566,34 @@ fn primary_drain_wakes_parked_polls_instead_of_waiting_out_the_cap() {
     assert!(drain < TAIL_WAIT_CAP / 2, "the drain waited {drain:?} for parked polls");
 
     replica.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_caught_up_replica_shuts_down_without_waiting_out_its_long_poll() {
+    let dir = tempdir("replica-stop");
+    // Spare workers: the primary answers each cut poll only at the cap,
+    // so the rounds below can hold up to five workers parked at once, and
+    // each replica's drain sends its last heartbeat on a fresh connection.
+    let primary = start(ServerConfig { workers: 8, ..primary_config(&dir) }).unwrap();
+    let addr = primary.addr();
+    assert_eq!(write_votes(addr, 0, 4), 4);
+    let head = durable_seq_at_least(addr, 4) + 1;
+
+    for round in 0..5 {
+        let replica = replica::start(replica_config(addr, &format!("stop-{round}"))).unwrap();
+        // Caught up and idle: the fetch thread's next request is a long
+        // poll that the primary answers only at the cap.
+        assert!(poll_until(Duration::from_secs(30), || {
+            replica.applied_seq() + 1 >= head && replica.caught_up()
+        }));
+        let started = Instant::now();
+        replica.shutdown().unwrap();
+        let took = started.elapsed();
+        assert!(took < TAIL_WAIT_CAP / 2, "shutdown {round} waited {took:?} for its long poll");
+    }
+
+    primary.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
