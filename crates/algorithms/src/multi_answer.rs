@@ -79,13 +79,13 @@ pub fn expand_implicit_negatives(dataset: &Dataset) -> Result<Dataset, CoreError
     let questions = dataset.require_questions()?;
     let mut b = DatasetBuilder::new();
     for s in dataset.sources() {
-        b.add_source(dataset.source_name(s).to_string());
+        b.add_source(dataset.source_name(s));
     }
     let truth = dataset.ground_truth();
     for f in dataset.facts() {
         match truth.map(|t| t.label(f)) {
-            Some(l) => b.add_fact_with_truth(dataset.fact_name(f).to_string(), l),
-            None => b.add_fact(dataset.fact_name(f).to_string()),
+            Some(l) => b.add_fact_with_truth(dataset.fact_name(f), l),
+            None => b.add_fact(dataset.fact_name(f)),
         };
     }
     b.set_question_assignments(dataset.facts().map(|f| questions.question_of(f)).collect());

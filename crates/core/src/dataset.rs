@@ -7,11 +7,38 @@ use crate::questions::QuestionStructure;
 use crate::truth::{Label, TruthAssignment};
 use crate::vote::{Vote, VoteMatrix, VoteMatrixBuilder};
 
+/// Names packed end to end in one string: name `i` is
+/// `text[ends[i - 1]..ends[i]]`, from 0 for the first. A million names are
+/// two allocations, not a million.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Names {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Appends `name` and returns its index.
+    fn push(&mut self, name: &str) -> usize {
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        self.ends.len() - 1
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+}
+
 /// A corroboration problem instance.
 ///
 /// A dataset owns:
-/// - a list of source names (indexable by [`SourceId`]);
-/// - a list of fact names (indexable by [`FactId`]);
+/// - the source names (indexable by [`SourceId`]), in one arena;
+/// - the fact names (indexable by [`FactId`]), in another;
 /// - the immutable [`VoteMatrix`];
 /// - optionally, the ground-truth [`TruthAssignment`] (used for evaluation
 ///   only — algorithms never read it);
@@ -21,8 +48,8 @@ use crate::vote::{Vote, VoteMatrix, VoteMatrixBuilder};
 /// Construct with [`DatasetBuilder`].
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    source_names: Vec<String>,
-    fact_names: Vec<String>,
+    source_names: Names,
+    fact_names: Names,
     votes: VoteMatrix,
     ground_truth: Option<TruthAssignment>,
     questions: Option<QuestionStructure>,
@@ -49,12 +76,12 @@ impl Dataset {
 
     /// Name of `source`.
     pub fn source_name(&self, source: SourceId) -> &str {
-        &self.source_names[source.index()]
+        self.source_names.get(source.index())
     }
 
     /// Name of `fact`.
     pub fn fact_name(&self, fact: FactId) -> &str {
-        &self.fact_names[fact.index()]
+        self.fact_names.get(fact.index())
     }
 
     /// Ground truth, if attached.
@@ -167,13 +194,13 @@ impl Dataset {
             }
         }
         let mut b = DatasetBuilder::new();
-        for name in &self.source_names {
-            b.add_source(name.clone());
+        for s in self.sources() {
+            b.add_source(self.source_name(s));
         }
         let truth = self.ground_truth.as_ref();
         for &f in facts {
             let label = truth.map(|t| t.label(f));
-            b.add_fact_full(self.fact_names[f.index()].clone(), label);
+            b.add_fact_full(self.fact_name(f), label);
         }
         for (new_idx, &f) in facts.iter().enumerate() {
             for sv in self.votes.votes_on(f) {
@@ -222,7 +249,7 @@ impl Dataset {
             for s in ds.sources() {
                 let name = ds.source_name(s);
                 if !source_ids.contains_key(name) {
-                    source_ids.insert(name, b.add_source(name.to_string()));
+                    source_ids.insert(name, b.add_source(name));
                 }
             }
         }
@@ -233,7 +260,7 @@ impl Dataset {
                 let label = truth.map(|t| t.label(f));
                 match fact_ids.get(name) {
                     None => {
-                        let id = b.add_fact_full(name.to_string(), label);
+                        let id = b.add_fact_full(name, label);
                         fact_ids.insert(name, id);
                     }
                     Some(&id) => {
@@ -300,11 +327,11 @@ impl Dataset {
 /// ```
 #[derive(Debug)]
 pub struct DatasetBuilder {
-    source_names: Vec<String>,
-    fact_names: Vec<String>,
+    source_names: Names,
+    fact_names: Names,
     truth: Vec<Option<Label>>,
-    /// Per-fact postings, grown as sources and facts are registered and
-    /// cast into directly.
+    /// Every cast so far, widened as sources and facts are registered;
+    /// sorted into both orientations at build time.
     votes: VoteMatrixBuilder,
     question_assignments: Option<Vec<crate::ids::QuestionId>>,
 }
@@ -312,8 +339,8 @@ pub struct DatasetBuilder {
 impl Default for DatasetBuilder {
     fn default() -> Self {
         Self {
-            source_names: Vec::new(),
-            fact_names: Vec::new(),
+            source_names: Names::default(),
+            fact_names: Names::default(),
             truth: Vec::new(),
             votes: VoteMatrixBuilder::new(0, 0),
             question_assignments: None,
@@ -327,27 +354,26 @@ impl DatasetBuilder {
         Self::default()
     }
 
-    /// Registers a source and returns its id.
-    pub fn add_source(&mut self, name: impl Into<String>) -> SourceId {
-        let id = SourceId::new(self.source_names.len());
-        self.source_names.push(name.into());
+    /// Registers a source and returns its id. The name is copied into
+    /// the builder's name arena.
+    pub fn add_source(&mut self, name: impl AsRef<str>) -> SourceId {
+        let id = SourceId::new(self.source_names.push(name.as_ref()));
         self.votes.add_source();
         id
     }
 
     /// Registers a fact with unknown ground truth and returns its id.
-    pub fn add_fact(&mut self, name: impl Into<String>) -> FactId {
-        self.add_fact_full(name.into(), None)
+    pub fn add_fact(&mut self, name: impl AsRef<str>) -> FactId {
+        self.add_fact_full(name.as_ref(), None)
     }
 
     /// Registers a fact with known ground truth and returns its id.
-    pub fn add_fact_with_truth(&mut self, name: impl Into<String>, label: Label) -> FactId {
-        self.add_fact_full(name.into(), Some(label))
+    pub fn add_fact_with_truth(&mut self, name: impl AsRef<str>, label: Label) -> FactId {
+        self.add_fact_full(name.as_ref(), Some(label))
     }
 
-    fn add_fact_full(&mut self, name: String, label: Option<Label>) -> FactId {
-        let id = FactId::new(self.fact_names.len());
-        self.fact_names.push(name);
+    fn add_fact_full(&mut self, name: &str, label: Option<Label>) -> FactId {
+        let id = FactId::new(self.fact_names.push(name));
         self.truth.push(label);
         self.votes.add_fact();
         id

@@ -210,9 +210,9 @@ pub fn dataset_from_csv_full(
     sources_csv: Option<&str>,
 ) -> Result<Dataset, CoreError> {
     // Names are keyed by slices of the input (owned only on lines with
-    // quotes) and copied once, into the builder. The files are read
-    // roster, truth, votes: a bad set of files reports the first error in
-    // that order.
+    // quotes) and copied once, appended to the builder's name arenas. The
+    // files are read roster, truth, votes: a bad set of files reports the
+    // first error in that order.
     let mut b = DatasetBuilder::new();
     let mut fields = Vec::new();
     let mut sources: HashMap<Cow<'_, str>, SourceId> = HashMap::new();
@@ -294,7 +294,7 @@ pub fn dataset_from_csv_full(
         }
     }
     for (name, label) in truth_only {
-        b.add_fact_with_truth(name.into_owned(), label);
+        b.add_fact_with_truth(name, label);
     }
 
     b.build()

@@ -93,64 +93,75 @@ pub struct FactVote {
 /// Construct with [`VoteMatrixBuilder`]; the built matrix is immutable,
 /// which lets algorithms share it freely (`&VoteMatrix`) without locking.
 ///
+/// Each orientation is one postings array in compressed-sparse-row form:
+/// row `i` (a fact, or a source) is `postings[ends[i - 1]..ends[i]]`, from
+/// 0 for the first row. A million-fact world is then four allocations, not
+/// one per fact and one per source.
+///
 /// Invariants (enforced by the builder):
 /// - postings within a fact are sorted by source id and deduplicated;
 /// - postings within a source are sorted by fact id;
 /// - both orientations describe the same set of votes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VoteMatrix {
-    n_sources: usize,
-    n_facts: usize,
-    by_fact: Vec<Vec<SourceVote>>,
-    by_source: Vec<Vec<FactVote>>,
-    n_votes: usize,
+    fact_ends: Vec<usize>,
+    by_fact: Vec<SourceVote>,
+    source_ends: Vec<usize>,
+    by_source: Vec<FactVote>,
+}
+
+/// Row `i` of a CSR orientation with per-row end offsets `ends`.
+#[inline]
+fn row<'a, T>(ends: &[usize], postings: &'a [T], i: usize) -> &'a [T] {
+    let start = if i == 0 { 0 } else { ends[i - 1] };
+    &postings[start..ends[i]]
 }
 
 impl VoteMatrix {
     /// Number of sources (rows of the conceptual dense matrix).
     #[inline]
     pub fn n_sources(&self) -> usize {
-        self.n_sources
+        self.source_ends.len()
     }
 
     /// Number of facts (columns of the conceptual dense matrix).
     #[inline]
     pub fn n_facts(&self) -> usize {
-        self.n_facts
+        self.fact_ends.len()
     }
 
     /// Total number of non-absent votes.
     #[inline]
     pub fn n_votes(&self) -> usize {
-        self.n_votes
+        self.by_fact.len()
     }
 
     /// The votes cast on `fact`, sorted by source id.
     #[inline]
     pub fn votes_on(&self, fact: FactId) -> &[SourceVote] {
-        &self.by_fact[fact.index()]
+        row(&self.fact_ends, &self.by_fact, fact.index())
     }
 
     /// The votes cast by `source`, sorted by fact id.
     #[inline]
     pub fn votes_by(&self, source: SourceId) -> &[FactVote] {
-        &self.by_source[source.index()]
+        row(&self.source_ends, &self.by_source, source.index())
     }
 
     /// The vote of `source` on `fact`, or `None` if the source is silent.
     pub fn vote(&self, source: SourceId, fact: FactId) -> Option<Vote> {
-        let postings = &self.by_fact[fact.index()];
+        let postings = self.votes_on(fact);
         postings.binary_search_by_key(&source, |sv| sv.source).ok().map(|i| postings[i].vote)
     }
 
     /// Iterator over all fact ids.
     pub fn facts(&self) -> impl Iterator<Item = FactId> + '_ {
-        (0..self.n_facts).map(FactId::new)
+        (0..self.n_facts()).map(FactId::new)
     }
 
     /// Iterator over all source ids.
     pub fn sources(&self) -> impl Iterator<Item = SourceId> + '_ {
-        (0..self.n_sources).map(SourceId::new)
+        (0..self.n_sources()).map(SourceId::new)
     }
 
     /// `true` if `fact` received only affirmative votes (and at least one).
@@ -202,6 +213,9 @@ impl VoteMatrix {
 
 /// Builder for [`VoteMatrix`].
 ///
+/// Casts are appended to one flat list in arrival order; [`Self::build`]
+/// sorts them into both orientations at once.
+///
 /// ```
 /// use corroborate_core::vote::{VoteMatrixBuilder, Vote};
 /// use corroborate_core::ids::{SourceId, FactId};
@@ -216,13 +230,14 @@ impl VoteMatrix {
 #[derive(Debug, Clone)]
 pub struct VoteMatrixBuilder {
     n_sources: usize,
-    by_fact: Vec<Vec<SourceVote>>,
+    n_facts: usize,
+    casts: Vec<(FactId, SourceVote)>,
 }
 
 impl VoteMatrixBuilder {
     /// Creates an empty builder for `n_sources × n_facts`.
     pub fn new(n_sources: usize, n_facts: usize) -> Self {
-        Self { n_sources, by_fact: vec![Vec::new(); n_facts] }
+        Self { n_sources, n_facts, casts: Vec::new() }
     }
 
     /// Widens the matrix by one source.
@@ -232,12 +247,15 @@ impl VoteMatrixBuilder {
 
     /// Widens the matrix by one fact with no votes yet.
     pub(crate) fn add_fact(&mut self) {
-        self.by_fact.push(Vec::new());
+        self.n_facts += 1;
     }
 
     /// Records a vote. Casting twice for the same `(source, fact)` pair
     /// replaces the earlier vote (last writer wins), mirroring a crawler
     /// that re-observes a listing.
+    ///
+    /// The builder holds one 12-byte entry per cast, recasts included,
+    /// until [`Self::build`] resolves them.
     ///
     /// # Errors
     /// Returns [`CoreError::IdOutOfRange`] if either id is outside the
@@ -250,51 +268,88 @@ impl VoteMatrixBuilder {
                 len: self.n_sources,
             });
         }
-        if fact.index() >= self.by_fact.len() {
+        if fact.index() >= self.n_facts {
             return Err(CoreError::IdOutOfRange {
                 kind: "fact",
                 index: fact.index(),
-                len: self.by_fact.len(),
+                len: self.n_facts,
             });
         }
-        let postings = &mut self.by_fact[fact.index()];
-        if let Some(existing) = postings.iter_mut().find(|sv| sv.source == source) {
-            existing.vote = vote;
-        } else {
-            postings.push(SourceVote { source, vote });
-        }
+        self.casts.push((fact, SourceVote { source, vote }));
         Ok(())
     }
 
-    /// Number of votes currently recorded.
-    pub fn n_votes(&self) -> usize {
-        self.by_fact.iter().map(Vec::len).sum()
-    }
-
     /// Finalises the matrix, establishing both orientations and the sorted
-    /// postings invariant.
+    /// postings invariant:
+    /// 1. a stable counting sort by fact, so each fact's casts keep their
+    ///    arrival order;
+    /// 2. each fact's row sorted by source, keeping the last cast per
+    ///    source (last writer wins);
+    /// 3. a counting sort of the rows by source, which visits facts in
+    ///    increasing order, so each source's postings come out sorted.
     pub fn build(self) -> VoteMatrix {
-        let mut by_fact = self.by_fact;
-        let mut by_source: Vec<Vec<FactVote>> = vec![Vec::new(); self.n_sources];
-        let mut n_votes = 0;
-        for (fi, postings) in by_fact.iter_mut().enumerate() {
-            postings.sort_by_key(|sv| sv.source);
-            n_votes += postings.len();
-            for sv in postings.iter() {
-                by_source[sv.source.index()]
-                    .push(FactVote { fact: FactId::new(fi), vote: sv.vote });
+        let mut fact_ends =
+            counting_starts(self.n_facts, self.casts.iter().map(|(f, _)| f.index()));
+        let mut by_fact =
+            vec![SourceVote { source: SourceId::new(0), vote: Vote::True }; self.casts.len()];
+        for (fact, sv) in self.casts {
+            let slot = &mut fact_ends[fact.index()];
+            by_fact[*slot] = sv;
+            *slot += 1;
+        }
+
+        // Rows shrink as recasts collapse, so compact them leftwards in
+        // place: the write cursor never passes the read cursor.
+        let (mut start, mut kept) = (0, 0);
+        for end in &mut fact_ends {
+            by_fact[start..*end].sort_by_key(|sv| sv.source);
+            let row_start = kept;
+            for read in start..*end {
+                let sv = by_fact[read];
+                if kept > row_start && by_fact[kept - 1].source == sv.source {
+                    by_fact[kept - 1] = sv;
+                } else {
+                    by_fact[kept] = sv;
+                    kept += 1;
+                }
             }
+            start = *end;
+            *end = kept;
         }
-        // by_source postings are already sorted by fact because we visited
-        // facts in increasing order.
-        VoteMatrix {
-            n_sources: self.n_sources,
-            n_facts: by_fact.len(),
-            by_fact,
-            by_source,
-            n_votes,
+        by_fact.truncate(kept);
+
+        let mut source_ends =
+            counting_starts(self.n_sources, by_fact.iter().map(|sv| sv.source.index()));
+        let mut by_source =
+            vec![FactVote { fact: FactId::new(0), vote: Vote::True }; by_fact.len()];
+        let mut start = 0;
+        for (fi, &end) in fact_ends.iter().enumerate() {
+            for sv in &by_fact[start..end] {
+                let slot = &mut source_ends[sv.source.index()];
+                by_source[*slot] = FactVote { fact: FactId::new(fi), vote: sv.vote };
+                *slot += 1;
+            }
+            start = end;
         }
+        VoteMatrix { fact_ends, by_fact, source_ends, by_source }
     }
+}
+
+/// The first slot of each of `n_rows` rows, for a counting sort of entries
+/// whose rows are `rows`. Placing an entry advances its row's slot, so once
+/// every entry is placed each slot holds its row's end.
+fn counting_starts(n_rows: usize, rows: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut starts = vec![0usize; n_rows];
+    for r in rows {
+        starts[r] += 1;
+    }
+    let mut total = 0;
+    for slot in &mut starts {
+        let count = *slot;
+        *slot = total;
+        total += count;
+    }
+    starts
 }
 
 #[cfg(test)]

@@ -508,6 +508,9 @@ pub struct Wal {
     active: Box<dyn WalFile>,
     active_id: u64,
     active_bytes: u64,
+    /// Whether the active segment holds bytes written since its last
+    /// successful sync; seal and flush sync it only then.
+    active_unsynced: bool,
     active_first_seq: Option<u64>,
     active_last_seq: u64,
     sealed: Vec<ShipSegment>,
@@ -762,6 +765,8 @@ impl Wal {
             active,
             active_id,
             active_bytes,
+            // Recovered bytes may never have been synced.
+            active_unsynced: active_bytes > 0,
             active_first_seq,
             active_last_seq,
             sealed,
@@ -832,6 +837,7 @@ impl Wal {
             sealed = true;
         }
 
+        self.active_unsynced = true;
         obs.traced(Span::WalAppend, first_seq, || self.active.write_all(&self.buf))?;
 
         self.active_bytes = self.active_bytes.saturating_add(frame_len);
@@ -871,17 +877,21 @@ impl Wal {
             obs.span_end(Span::WalFsync, seq);
         }
         synced?;
+        self.active_unsynced = false;
         Ok(nanos)
     }
 
-    /// Syncs the active segment when fsync is configured and returns the
-    /// latency. Every frame an `Ok` append wrote is already durable; this
-    /// is an explicit barrier for callers that want one.
+    /// Syncs the active segment when fsync is configured and it holds
+    /// bytes no successful sync has covered, returning the latency; `None`
+    /// when no sync was needed. Every frame an `Ok` append wrote is
+    /// already durable, so this syncs only what a failed append or a
+    /// recovered segment left unsynced: an explicit barrier for callers
+    /// that want one.
     ///
     /// # Errors
     /// I/O failures.
     pub fn flush(&mut self) -> Result<Option<u64>, ServeError> {
-        if !self.config.fsync {
+        if !self.config.fsync || !self.active_unsynced {
             return Ok(None);
         }
         let seq = self.next_seq.saturating_sub(1);
@@ -898,7 +908,7 @@ impl Wal {
     }
 
     fn seal_inner(&mut self) -> Result<(), ServeError> {
-        if self.config.fsync {
+        if self.config.fsync && self.active_unsynced {
             self.active.sync_data()?;
         }
         let segment = ShipSegment {
@@ -917,6 +927,7 @@ impl Wal {
         self.active = self.fs.create(&seg_path(&self.dir, next_id))?;
         self.active_id = next_id;
         self.active_bytes = 0;
+        self.active_unsynced = false;
         self.active_first_seq = None;
         self.active_last_seq = 0;
         self.write_manifest()?;
@@ -1052,6 +1063,7 @@ impl Wal {
         self.sealed.clear();
         self.active_id = next_id;
         self.active_bytes = 0;
+        self.active_unsynced = false;
         self.active_first_seq = None;
         self.active_last_seq = 0;
         self.records_since_snapshot = 0;
@@ -1741,5 +1753,35 @@ mod tests {
         fs.reset_faults();
         let (_, rec) = Wal::open_with(&dir, config, Arc::new(fs), &NOOP).unwrap();
         assert_eq!(rec.replayed, 1);
+    }
+
+    #[test]
+    fn seal_and_flush_sync_a_segment_only_when_it_holds_unsynced_bytes() {
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("/wal");
+        // Equal-sized frames, three to a segment: the fourth append rolls.
+        let frame = |i: usize| vec![cast("a", &format!("f{i}"), Vote::True)];
+        let mut buf = Vec::new();
+        encode_batch(&mut buf, 1, &frame(0)).unwrap();
+        let segment_bytes = 3 * buf.len() as u64;
+        let config = WalConfig { fsync: true, segment_bytes, ..WalConfig::default() };
+        let (mut wal, _) = Wal::open_with(&dir, config, Arc::new(fs.clone()), &NOOP).unwrap();
+        let segment_syncs = || (1..=2).map(|id| fs.syncs(&seg_path(&dir, id))).sum::<u64>();
+
+        let n = 5;
+        for i in 0..n {
+            wal.append_batch(&frame(i)).unwrap();
+        }
+        let flushed = wal.flush().unwrap();
+        assert_eq!(wal.segment_count(), 2, "one roll");
+        assert_eq!(segment_syncs(), n as u64, "one sync per append, none at seal or flush");
+        assert_eq!(flushed, None);
+
+        // A failed append fsync leaves its bytes unsynced: flush retries.
+        fs.fail_fsync(1, false);
+        assert!(wal.append_batch(&frame(n)).is_err());
+        assert!(wal.flush().unwrap().is_some());
+        assert_eq!(segment_syncs(), n as u64 + 2);
+        assert_eq!(wal.flush().unwrap(), None);
     }
 }

@@ -168,6 +168,9 @@ struct FileState {
     data: Vec<u8>,
     /// Length last made durable by a successful `sync_data`.
     synced_len: usize,
+    /// `sync_data` calls that reached this file, injected failures
+    /// included.
+    syncs: u64,
 }
 
 /// Seeded fault plan shared by every handle cloned from one [`FaultFs`].
@@ -287,6 +290,12 @@ impl FaultFs {
         lock(&self.store).files.get(path).map(|f| f.data.len())
     }
 
+    /// `sync_data` calls that reached `path` since it was created,
+    /// injected failures included (0 when missing).
+    pub fn syncs(&self, path: &Path) -> u64 {
+        lock(&self.store).files.get(path).map_or(0, |f| f.syncs)
+    }
+
     /// Truncates `path` to `len` without going through the fault plan, for
     /// tests that build a crash scene byte-by-byte.
     pub fn truncate_raw(&self, path: &Path, len: usize) {
@@ -344,6 +353,9 @@ impl WalFile for FaultFile {
             return Err(crashed_err());
         }
         store.plan.fsyncs_seen = store.plan.fsyncs_seen.saturating_add(1);
+        if let Some(file) = store.files.get_mut(&self.path) {
+            file.syncs = file.syncs.saturating_add(1);
+        }
         if store.plan.fail_fsync_at == Some(store.plan.fsyncs_seen) {
             store.plan.fail_fsync_at = None;
             let drop_unsynced = store.plan.drop_unsynced_on_fsync_fail;

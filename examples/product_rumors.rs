@@ -83,10 +83,10 @@ fn main() {
     let mut b2 = DatasetBuilder::new();
     let tmp = b.build().expect("valid dataset");
     for s in tmp.sources() {
-        b2.add_source(tmp.source_name(s).to_string());
+        b2.add_source(tmp.source_name(s));
     }
     for (i, f) in tmp.facts().enumerate() {
-        b2.add_fact_with_truth(tmp.fact_name(f).to_string(), Label::from_bool(truth[i]));
+        b2.add_fact_with_truth(tmp.fact_name(f), Label::from_bool(truth[i]));
         for sv in tmp.votes().votes_on(f) {
             b2.cast(sv.source, f, sv.vote).unwrap();
         }
