@@ -32,6 +32,28 @@ impl Names {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         &self.text[start..self.ends[i]]
     }
+
+    /// Keeps the names at the indices `keep` accepts, in order, compacting
+    /// the arena in place and releasing what it no longer needs.
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut text = std::mem::take(&mut self.text).into_bytes();
+        let (mut start, mut write, mut kept) = (0, 0, 0);
+        for i in 0..self.ends.len() {
+            let end = self.ends[i];
+            if keep(i) {
+                text.copy_within(start..end, write);
+                write += end - start;
+                self.ends[kept] = write;
+                kept += 1;
+            }
+            start = end;
+        }
+        text.truncate(write);
+        text.shrink_to_fit();
+        self.ends.truncate(kept);
+        self.ends.shrink_to_fit();
+        self.text = String::from_utf8(text).expect("whole names keep the text valid UTF-8");
+    }
 }
 
 /// A corroboration problem instance.
@@ -382,6 +404,39 @@ impl DatasetBuilder {
     /// Sets (or replaces) the ground-truth label of a registered fact.
     pub(crate) fn set_label(&mut self, fact: FactId, label: Label) {
         self.truth[fact.index()] = Some(label);
+    }
+
+    /// Name of a registered fact.
+    pub(crate) fn fact_name(&self, fact: FactId) -> &str {
+        self.fact_names.get(fact.index())
+    }
+
+    /// Merges facts registered more than once under one name. `first[i]`
+    /// is the id of the first fact registered with fact `i`'s name, so
+    /// `first[i] <= i`. Facts are renumbered in first-occurrence order, the
+    /// name arena and the labels keep each first occurrence, and every
+    /// cast is renamed to its merged fact in arrival order, so the last
+    /// writer still wins at [`Self::build`].
+    pub(crate) fn merge_duplicate_facts(&mut self, mut first: Vec<u32>) {
+        assert_eq!(first.len(), self.n_facts(), "one first occurrence per fact");
+        self.fact_names.retain(|i| first[i] as usize == i);
+        let mut is_first = first.iter().enumerate().map(|(i, &f)| f as usize == i);
+        self.truth.retain(|_| is_first.next() == Some(true));
+        self.truth.shrink_to_fit();
+        // In place, each entry becomes its fact's new id: a repeat's first
+        // occurrence is earlier, so its new id is already written.
+        let mut kept = 0;
+        for i in 0..first.len() {
+            let f = first[i] as usize;
+            assert!(f <= i, "a first occurrence precedes its repeats");
+            first[i] = if f == i {
+                kept += 1;
+                kept - 1
+            } else {
+                first[f]
+            };
+        }
+        self.votes.remap_facts(&first, kept as usize);
     }
 
     /// Records a vote. Casting twice for the same `(source, fact)` pair

@@ -42,17 +42,34 @@
 //!
 //! (Voteless *and* unlabelled facts remain unrepresentable — they carry no
 //! information any corroborator can use.)
+//!
+//! ## Interning fact names
+//!
+//! The loader keeps no map keyed by fact name: a million random probes into
+//! one would each miss cache. The votes pass registers one provisional fact
+//! per run of lines that name the same fact, and records the name's 64-bit
+//! hash. The hash is SipHash under [`RandomState`] keys, so crafted names
+//! cannot crowd one partition. A radix pass then counting-sorts the hashes
+//! by their top bits into partitions of about two thousand entries. Within
+//! each partition, a small open-addressing table finds every name's first
+//! run. Names are compared only behind equal hashes, so a collision never
+//! merges two names. A name that starts several runs merges into its first,
+//! which keeps ids in first-appearance order and casts in arrival order.
+//! Truth rows attach by a cursor that walks the facts in id order, as
+//! [`truth_to_csv`] writes them, and the rows it misses go through one
+//! partitioned lookup.
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
+use std::hash::BuildHasher;
 
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::error::CoreError;
 use crate::ids::{FactId, SourceId};
 use crate::truth::Label;
-use crate::vote::Vote;
+use crate::vote::{counting_starts, Vote};
 
 /// Escapes a CSV field: quotes it when it contains a comma, quote or
 /// newline, or when the reader's trimming, comment skipping or blank-line
@@ -209,10 +226,10 @@ pub fn dataset_from_csv_full(
     truth_csv: Option<&str>,
     sources_csv: Option<&str>,
 ) -> Result<Dataset, CoreError> {
-    // Names are keyed by slices of the input (owned only on lines with
-    // quotes) and copied once, appended to the builder's name arenas. The
-    // files are read roster, truth, votes: a bad set of files reports the
-    // first error in that order.
+    // Names are slices of the input (owned only on lines with quotes) and
+    // are copied once, appended to the builder's name arenas. The files are
+    // read roster, truth, votes: a bad set of files reports the first error
+    // in that order.
     let mut b = DatasetBuilder::new();
     let mut fields = Vec::new();
     let mut sources: HashMap<Cow<'_, str>, SourceId> = HashMap::new();
@@ -257,7 +274,14 @@ pub fn dataset_from_csv_full(
         truth.push((std::mem::take(&mut fields[0]), label));
     }
 
-    let mut facts: HashMap<Cow<'_, str>, FactId> = HashMap::with_capacity(truth.len());
+    // Facts are interned without a map keyed by name. A vote line that
+    // names the fact of the data line before it reuses that fact; any
+    // other line registers a provisional fact and records its name's hash.
+    // `RandomState` keys the hash, so crafted names cannot aim at one
+    // partition of the merge and lookups below.
+    let hasher = RandomState::new();
+    let mut hashes: Vec<u64> = Vec::with_capacity(truth.len());
+    let mut last = None;
     for (line_no, line) in records(votes_csv) {
         split_line(line, "votes", line_no, 3, &mut fields)?;
         if fields[0] == "source" && fields[1] == "fact" && fields[2] == "vote" {
@@ -275,29 +299,235 @@ pub fn dataset_from_csv_full(
         let s = *sources
             .entry(std::mem::take(&mut fields[0]))
             .or_insert_with_key(|name| b.add_source(name.as_ref()));
-        let f = *facts
-            .entry(std::mem::take(&mut fields[1]))
-            .or_insert_with_key(|name| b.add_fact(name.as_ref()));
+        let f = match last {
+            Some(f) if b.fact_name(f) == fields[1] => f,
+            _ => {
+                hashes.push(hasher.hash_one(fields[1].as_ref()));
+                let f = b.add_fact(fields[1].as_ref());
+                last = Some(f);
+                f
+            }
+        };
         b.cast(s, f, vote)?;
     }
+    // The merge and the label lookup index fact runs and truth rows by u32.
+    if hashes.len().max(truth.len()) >= EMPTY as usize {
+        let message = format!("more than {} fact runs or truth rows", EMPTY - 1);
+        return Err(CoreError::InvalidConfig { message });
+    }
 
-    // Labels attach after the votes pass, last row winning. Rows that name
-    // no voted fact become voteless facts, added in name order so parsing
-    // is deterministic.
+    // A name that starts more than one run merges into its first run's
+    // fact. Files whose vote lines group each fact's votes together, as
+    // `votes_to_csv` writes them, have no repeats.
+    let first = first_occurrences(&hashes, |i, j| {
+        b.fact_name(FactId::new(i)) == b.fact_name(FactId::new(j))
+    });
+    if first.iter().enumerate().any(|(i, &f)| f as usize != i) {
+        let mut is_first = first.iter().enumerate().map(|(i, &f)| f as usize == i);
+        hashes.retain(|_| is_first.next() == Some(true));
+        hashes.shrink_to_fit();
+        b.merge_duplicate_facts(first);
+    }
+
+    attach_labels(&mut b, truth, hashes, &hasher);
+    b.build()
+}
+
+/// Labels the voted facts of `b` from the `truth` rows, last row winning;
+/// `hashes` are the voted facts' name hashes under `hasher`.
+///
+/// A cursor walks the voted facts in id order, the order `truth_to_csv`
+/// writes them: a row that names the cursor's fact labels it and moves the
+/// cursor on. The rows it misses are looked up together afterwards, each
+/// with the cursor at its row, so a miss never overrides a later row's
+/// hit. Rows that name no voted fact become voteless facts, added in name
+/// order so parsing is deterministic. `truth` and `hashes` are taken by
+/// value so that they are freed before the dataset is built.
+fn attach_labels(
+    b: &mut DatasetBuilder,
+    mut truth: Vec<(Cow<'_, str>, Label)>,
+    hashes: Vec<u64>,
+    hasher: &RandomState,
+) {
+    let n_voted = b.n_facts();
+    let mut next = 0;
+    let mut misses = Vec::new();
+    for (row, (name, label)) in truth.iter().enumerate() {
+        if next < n_voted && b.fact_name(FactId::new(next)) == name {
+            b.set_label(FactId::new(next), *label);
+            next += 1;
+        } else {
+            misses.push((row, next));
+        }
+    }
+    let miss_hashes: Vec<u64> =
+        misses.iter().map(|&(row, _)| hasher.hash_one(truth[row].0.as_ref())).collect();
+    let found =
+        find_all(&hashes, &miss_hashes, |f, m| b.fact_name(FactId::new(f)) == truth[misses[m].0].0);
     let mut truth_only = BTreeMap::new();
-    for (name, label) in truth {
-        match facts.get(&name) {
-            Some(&f) => b.set_label(f, label),
+    for (&(row, cursor), found) in misses.iter().zip(found) {
+        let label = truth[row].1;
+        match found.map(|f| f as usize) {
+            Some(f) if (cursor..next).contains(&f) => {} // a later row hit it
+            Some(f) => b.set_label(FactId::new(f), label),
             None => {
-                truth_only.insert(name, label);
+                truth_only.insert(std::mem::take(&mut truth[row].0), label);
             }
         }
     }
     for (name, label) in truth_only {
         b.add_fact_with_truth(name, label);
     }
+}
 
-    b.build()
+/// Partitions hold about this many entries, so that one partition's
+/// hashes and its [`Table`] stay in cache.
+const PARTITION_ENTRIES: usize = 2048;
+
+/// The number of top hash bits that split `n` entries into partitions of
+/// about [`PARTITION_ENTRIES`] (9 bits, 512 partitions, at 755k).
+fn partition_bits(n: usize) -> u32 {
+    n.div_ceil(PARTITION_ENTRIES).next_power_of_two().trailing_zeros()
+}
+
+/// Entries grouped by the top `bits` of their hash, by a counting sort.
+/// Partition `p` is `hashes[ends[p - 1]..ends[p]]`, from 0 for the first,
+/// with the entries' indices alongside in `items`, ascending within each
+/// partition.
+struct Partitions {
+    ends: Vec<usize>,
+    hashes: Vec<u64>,
+    items: Vec<u32>,
+}
+
+impl Partitions {
+    /// Partitions the indices of `hashes` (fewer than `u32::MAX`).
+    fn new(hashes: &[u64], bits: u32) -> Self {
+        assert!(hashes.len() < EMPTY as usize, "partition entries fit a u32 slot");
+        let part = |h: u64| if bits == 0 { 0 } else { (h >> (64 - bits)) as usize };
+        let mut ends = counting_starts(1 << bits, hashes.iter().map(|&h| part(h)));
+        let mut sorted = vec![0; hashes.len()];
+        let mut items = vec![0; hashes.len()];
+        for (i, &h) in hashes.iter().enumerate() {
+            let slot = &mut ends[part(h)];
+            sorted[*slot] = h;
+            items[*slot] = i as u32;
+            *slot += 1;
+        }
+        Self { ends, hashes: sorted, items }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Partition `p`: its entries' hashes and indices.
+    fn get(&self, p: usize) -> (&[u64], &[u32]) {
+        let start = if p == 0 { 0 } else { self.ends[p - 1] };
+        (&self.hashes[start..self.ends[p]], &self.items[start..self.ends[p]])
+    }
+}
+
+/// Marks an empty [`Table`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// An open-addressing table over one partition. A slot holds the index of
+/// an entry within the partition, or [`EMPTY`]. The table is at most half
+/// full and probed linearly from the hash's low bits (its top bits chose
+/// the partition).
+#[derive(Default)]
+struct Table {
+    slots: Vec<u32>,
+}
+
+impl Table {
+    /// Empties the table and sizes it for `len` entries.
+    fn reset(&mut self, len: usize) {
+        self.slots.clear();
+        self.slots.resize((2 * len).next_power_of_two(), EMPTY);
+    }
+
+    /// The slot of the first entry whose hash equals `hash` and which
+    /// `same` accepts, else the empty slot that ends the probe. `hashes`
+    /// are the partition's; `same` sees only entries with an equal hash.
+    fn probe(&self, hashes: &[u64], hash: u64, mut same: impl FnMut(usize) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let e = self.slots[slot];
+            if e == EMPTY || (hashes[e as usize] == hash && same(e as usize)) {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+}
+
+/// For each key, the index of the first key equal to it: its own index
+/// unless an earlier key is equal. Keys are given by their `hashes`;
+/// `same(i, j)` compares keys `i` and `j` and is asked only about keys
+/// whose hashes are equal, so keys whose hashes collide stay apart unless
+/// `same` says otherwise.
+fn first_occurrences(hashes: &[u64], mut same: impl FnMut(usize, usize) -> bool) -> Vec<u32> {
+    let parts = Partitions::new(hashes, partition_bits(hashes.len()));
+    let mut first = vec![0; hashes.len()];
+    let mut table = Table::default();
+    for p in 0..parts.len() {
+        let (hashes, items) = parts.get(p);
+        table.reset(hashes.len());
+        // Indices ascend within a partition: the first of equal keys to
+        // reach the table is the earliest.
+        for (k, (&hash, &item)) in hashes.iter().zip(items).enumerate() {
+            let slot = table.probe(hashes, hash, |e| same(items[e] as usize, item as usize));
+            first[item as usize] = match table.slots[slot] {
+                EMPTY => {
+                    table.slots[slot] = k as u32;
+                    item
+                }
+                e => items[e as usize],
+            };
+        }
+    }
+    first
+}
+
+/// For each query, the index of the key equal to it, if any. Keys and
+/// queries are given by their hashes and partitioned alike; the keys must
+/// be distinct. `same(key, query)` is asked only when the two hashes are
+/// equal.
+fn find_all(
+    keys: &[u64],
+    queries: &[u64],
+    mut same: impl FnMut(usize, usize) -> bool,
+) -> Vec<Option<u32>> {
+    if queries.is_empty() {
+        return Vec::new();
+    }
+    let bits = partition_bits(keys.len());
+    let (keys, queries) = (Partitions::new(keys, bits), Partitions::new(queries, bits));
+    let mut found = vec![None; queries.items.len()];
+    let mut table = Table::default();
+    for p in 0..keys.len() {
+        let (query_hashes, query_items) = queries.get(p);
+        if query_items.is_empty() {
+            continue;
+        }
+        let (key_hashes, key_items) = keys.get(p);
+        table.reset(key_hashes.len());
+        for (k, &hash) in key_hashes.iter().enumerate() {
+            // Keys are distinct: each takes the first empty slot.
+            let slot = table.probe(key_hashes, hash, |_| false);
+            table.slots[slot] = k as u32;
+        }
+        for (&hash, &q) in query_hashes.iter().zip(query_items) {
+            let slot = table.probe(key_hashes, hash, |e| same(key_items[e] as usize, q as usize));
+            let e = table.slots[slot];
+            if e != EMPTY {
+                found[q as usize] = Some(key_items[e as usize]);
+            }
+        }
+    }
+    found
 }
 
 #[cfg(test)]
@@ -515,6 +745,46 @@ mod tests {
         };
         assert!(err("\"A,f1,T\n", None).ends_with("line 1: unterminated quoted field"));
         assert!(err("", Some("\"A\n")).ends_with("line 1: unterminated quoted field"));
+    }
+
+    #[test]
+    fn partitioned_dedup_and_lookup_compare_names_behind_equal_hashes() {
+        // One injected hash for every name: only the names tell them apart.
+        let names = ["a", "b", "a", "c", "b", "a"];
+        let same = |i: usize, j: usize| names[i] == names[j];
+        assert_eq!(first_occurrences(&[7; 6], same), [0, 1, 0, 3, 1, 0]);
+        // Equal names merge into the first, whatever their count.
+        assert_eq!(first_occurrences(&[7; 5], |_, _| true), [0; 5]);
+        assert_eq!(first_occurrences(&[], |_, _| true), [] as [u32; 0]);
+
+        let (keys, queries) = (["a", "b", "c"], ["b", "d", "a", "c"]);
+        let found = find_all(&[1; 3], &[1; 4], |k, q| keys[k] == queries[q]);
+        assert_eq!(found, [Some(1), None, Some(0), Some(2)]);
+        assert_eq!(find_all(&[1; 3], &[], |_, _| true), []);
+        assert_eq!(find_all(&[], &[1], |_, _| true), [None]);
+    }
+
+    #[test]
+    fn partitioned_dedup_and_lookup_span_many_partitions() {
+        // 6,000 keys over 4 partitions, every one of them used; key i
+        // names i % 2,000, and equal names hash alike.
+        let name = |i: usize| i % 2_000;
+        let hash = |n: usize| (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (n as u64);
+        let hashes: Vec<u64> = (0..6_000).map(|i| hash(name(i))).collect();
+        let bits = partition_bits(hashes.len());
+        assert_eq!(bits, 2);
+        let parts = Partitions::new(&hashes, bits);
+        assert!((0..parts.len()).all(|p| !parts.get(p).0.is_empty()));
+        let first = first_occurrences(&hashes, |i, j| name(i) == name(j));
+        assert!(first.iter().enumerate().all(|(i, &f)| f as usize == name(i)));
+
+        let keys: Vec<u64> = (0..2_000).map(hash).collect();
+        let queries: Vec<u64> = (0..3_000).rev().map(hash).collect();
+        let found = find_all(&keys, &queries, |k, q| k == 2_999 - q);
+        for (q, found) in found.into_iter().enumerate() {
+            let n = 2_999 - q;
+            assert_eq!(found, (n < 2_000).then_some(n as u32), "query {q}");
+        }
     }
 
     #[test]

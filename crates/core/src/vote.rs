@@ -279,6 +279,16 @@ impl VoteMatrixBuilder {
         Ok(())
     }
 
+    /// Renames the fact of every cast through `ids` (old id → new id) and
+    /// narrows the matrix to `n_facts`. Casts keep their arrival order, so
+    /// last writer still wins at [`Self::build`].
+    pub(crate) fn remap_facts(&mut self, ids: &[u32], n_facts: usize) {
+        for (fact, _) in &mut self.casts {
+            *fact = FactId::new(ids[fact.index()] as usize);
+        }
+        self.n_facts = n_facts;
+    }
+
     /// Finalises the matrix, establishing both orientations and the sorted
     /// postings invariant:
     /// 1. a stable counting sort by fact, so each fact's casts keep their
@@ -338,7 +348,7 @@ impl VoteMatrixBuilder {
 /// The first slot of each of `n_rows` rows, for a counting sort of entries
 /// whose rows are `rows`. Placing an entry advances its row's slot, so once
 /// every entry is placed each slot holds its row's end.
-fn counting_starts(n_rows: usize, rows: impl Iterator<Item = usize>) -> Vec<usize> {
+pub(crate) fn counting_starts(n_rows: usize, rows: impl Iterator<Item = usize>) -> Vec<usize> {
     let mut starts = vec![0usize; n_rows];
     for r in rows {
         starts[r] += 1;

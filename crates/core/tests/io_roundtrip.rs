@@ -156,8 +156,19 @@ fn distinct(names: Vec<String>) -> Vec<String> {
     names.into_iter().filter(|n| seen.insert(n.clone())).collect()
 }
 
+/// 24 cases, or `PROPTEST_CASES` when set, as CI's boosted core step
+/// sets it (an explicit `with_cases` would otherwise win over it).
+fn round_trip_config() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.trim().parse::<u32>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(24);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(round_trip_config())]
 
     #[test]
     fn random_datasets_round_trip_semantically(
