@@ -378,15 +378,14 @@ mod tests {
         MultiWorld { dataset: b.build().unwrap(), seeds }
     }
 
-    /// Case count for the bookkeeping sweep: `PROPTEST_CASES` when set (CI
-    /// boosts it in release), otherwise a few cases so a debug test run
-    /// stays quick.
-    fn bookkeeping_config() -> ProptestConfig {
+    /// `default` cases, or `PROPTEST_CASES` when set (CI boosts it in
+    /// release); an explicit `with_cases` would otherwise win over it.
+    fn cases_or_env(default: u32) -> ProptestConfig {
         let cases = std::env::var("PROPTEST_CASES")
             .ok()
             .and_then(|v| v.trim().parse::<u32>().ok())
             .filter(|&n| n > 0)
-            .unwrap_or(3);
+            .unwrap_or(default);
         ProptestConfig::with_cases(cases)
     }
 
@@ -566,7 +565,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(cases_or_env(24))]
 
         #[test]
         fn equivalence_self_term(ds in dataset_strategy()) {
@@ -592,7 +591,8 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(bookkeeping_config())]
+        // A few cases by default, so that a debug test run stays quick.
+        #![proptest_config(cases_or_env(3))]
 
         #[test]
         fn bookkeeping_self_term(seed in any::<u64>()) {

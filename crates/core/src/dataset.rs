@@ -33,6 +33,17 @@ impl Names {
         &self.text[start..self.ends[i]]
     }
 
+    /// Appends the names of `other` from index `skip` on, in order,
+    /// reserving exactly the room they take.
+    fn extend_from(&mut self, other: &Names, skip: usize) {
+        let start = if skip == 0 { 0 } else { other.ends[skip - 1] };
+        let base = self.text.len();
+        self.text.reserve_exact(other.text.len() - start);
+        self.ends.reserve_exact(other.ends.len() - skip);
+        self.text.push_str(&other.text[start..]);
+        self.ends.extend(other.ends[skip..].iter().map(|&end| base + end - start));
+    }
+
     /// Keeps the names at the indices `keep` accepts, in order, compacting
     /// the arena in place and releasing what it no longer needs.
     fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
@@ -409,6 +420,31 @@ impl DatasetBuilder {
     /// Name of a registered fact.
     pub(crate) fn fact_name(&self, fact: FactId) -> &str {
         self.fact_names.get(fact.index())
+    }
+
+    /// Name of a registered source.
+    pub(crate) fn source_name(&self, source: SourceId) -> &str {
+        self.source_names.get(source.index())
+    }
+
+    /// Reserves room for `additional` more casts.
+    pub(crate) fn reserve_casts(&mut self, additional: usize) {
+        self.votes.reserve(additional);
+    }
+
+    /// Appends the facts and casts of `tail`, a builder that read a later
+    /// part of the same input. The tail's source `s` is `sources[s]` here;
+    /// its sources' names are not copied. With `joined`, the tail's first
+    /// fact is this builder's last (one run of lines cut in two): it keeps
+    /// this builder's name and label. The other facts follow in the tail's
+    /// order, and the tail's casts follow this builder's, so the last
+    /// writer still wins at [`Self::build`].
+    pub(crate) fn append(&mut self, tail: DatasetBuilder, sources: &[SourceId], joined: bool) {
+        let skip = usize::from(joined);
+        let first = self.n_facts() - skip;
+        self.fact_names.extend_from(&tail.fact_names, skip);
+        self.truth.extend(tail.truth.into_iter().skip(skip));
+        self.votes.append(tail.votes, sources, first);
     }
 
     /// Merges facts registered more than once under one name. `first[i]`

@@ -58,6 +58,27 @@
 //! Truth rows attach by a cursor that walks the facts in id order, as
 //! [`truth_to_csv`] writes them, and the rows it misses go through one
 //! partitioned lookup.
+//!
+//! ## Two parts on two threads
+//!
+//! The votes text is cut in two just past a `\n`, so that the head is
+//! about as long as the tail and the truth file together. The calling
+//! thread reads the head; one scoped thread reads the truth file and then
+//! the tail, each part into a builder, a source map and a hash list of its
+//! own. A cut just past a `\n` never splits a record: the reader splits
+//! lines before it reads quotes, so no field spans a `\n`, and a `\n` byte
+//! is never part of a multi-byte character. The tail numbers its lines
+//! from the head's line count, so its errors name the same line.
+//!
+//! The join on the calling thread then builds what one pass would have.
+//! The tail's new sources follow the head's in the tail's order of first
+//! appearance. If the tail's first fact has the head's last fact's name,
+//! one run of lines was cut in two, and it stays one fact with one hash.
+//! The tail's facts follow the head's, and its casts follow the head's in
+//! arrival order, so the last writer still wins. Errors are reported in
+//! the order roster, truth, head, tail: a bad set of files names the line
+//! one pass would stop at. The load always makes two parts, whatever the
+//! files' size.
 
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, RandomState};
@@ -71,10 +92,19 @@ use crate::ids::{FactId, SourceId};
 use crate::truth::Label;
 use crate::vote::{counting_starts, Vote};
 
-/// Escapes a CSV field: quotes it when it contains a comma, quote or
-/// newline, or when the reader's trimming, comment skipping or blank-line
-/// skipping would otherwise change it.
-fn escape(field: &str) -> String {
+/// Escapes a name as a field of this module's CSV dialect: quotes it when
+/// it contains a comma, quote or newline, or when the reader's trimming,
+/// comment skipping or blank-line skipping would otherwise change it.
+///
+/// ```
+/// use corroborate_core::io::escape_field;
+///
+/// assert_eq!(escape_field("plain"), "plain");
+/// assert_eq!(escape_field("a,b"), "\"a,b\"");
+/// assert_eq!(escape_field(" pad"), "\" pad\"");
+/// assert_eq!(escape_field("#h"), "\"#h\"");
+/// ```
+pub fn escape_field(field: &str) -> String {
     if field.is_empty()
         || field.contains([',', '"', '\n'])
         || field.starts_with(char::is_whitespace)
@@ -102,9 +132,9 @@ fn records(csv: &str) -> impl Iterator<Item = (usize, &str)> {
 }
 
 /// Splits one line of a `file` into `fields` and checks that there are
-/// `expected` of them. A line without quotes splits into slices of itself;
-/// a line with quotes is unescaped (double-quoted fields, `""` escapes)
-/// into owned fields.
+/// `expected` of them. One pass over the bytes borrows a slice of the line
+/// at each comma. At the first quote, the line is unescaped from its start
+/// instead (double-quoted fields, `""` escapes) into owned fields.
 ///
 /// # Errors
 /// [`CoreError::InvalidConfig`] on an unterminated quote or a wrong field
@@ -117,35 +147,66 @@ fn split_line<'a>(
     fields: &mut Vec<Cow<'a, str>>,
 ) -> Result<(), CoreError> {
     fields.clear();
-    if line.contains('"') {
-        let mut field = String::new();
-        let mut chars = line.chars().peekable();
-        let mut in_quotes = false;
-        while let Some(c) = chars.next() {
-            match c {
-                '"' if in_quotes => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '"' if field.is_empty() => in_quotes = true,
-                ',' if !in_quotes => fields.push(Cow::Owned(std::mem::take(&mut field))),
-                c => field.push(c),
+    let mut start = 0;
+    for (i, &byte) in line.as_bytes().iter().enumerate() {
+        match byte {
+            b',' => {
+                fields.push(Cow::Borrowed(&line[start..i]));
+                start = i + 1;
             }
+            b'"' => return unquote_line(line, file, line_no, expected, fields),
+            _ => {}
         }
-        if in_quotes {
-            return Err(line_error(file, line_no, "unterminated quoted field"));
-        }
-        fields.push(Cow::Owned(field));
-    } else {
-        fields.extend(line.split(',').map(Cow::Borrowed));
     }
-    if fields.len() != expected {
+    fields.push(Cow::Borrowed(&line[start..]));
+    check_field_count(file, line_no, expected, fields.len())
+}
+
+/// [`split_line`] for a line with quotes: unescapes every field into an
+/// owned one.
+fn unquote_line(
+    line: &str,
+    file: &str,
+    line_no: usize,
+    expected: usize,
+    fields: &mut Vec<Cow<'_, str>>,
+) -> Result<(), CoreError> {
+    fields.clear();
+    let mut field = String::new();
+    let mut chars = line.chars().peekable();
+    let mut in_quotes = false;
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if in_quotes => {
+                if chars.peek() == Some(&'"') {
+                    chars.next();
+                    field.push('"');
+                } else {
+                    in_quotes = false;
+                }
+            }
+            '"' if field.is_empty() => in_quotes = true,
+            ',' if !in_quotes => fields.push(Cow::Owned(std::mem::take(&mut field))),
+            c => field.push(c),
+        }
+    }
+    if in_quotes {
+        return Err(line_error(file, line_no, "unterminated quoted field"));
+    }
+    fields.push(Cow::Owned(field));
+    check_field_count(file, line_no, expected, fields.len())
+}
+
+/// The error for a line of a `file` split into `got` fields, if `expected`
+/// differs.
+fn check_field_count(
+    file: &str,
+    line_no: usize,
+    expected: usize,
+    got: usize,
+) -> Result<(), CoreError> {
+    if got != expected {
         let plural = if expected == 1 { "" } else { "s" };
-        let got = fields.len();
         return Err(line_error(
             file,
             line_no,
@@ -160,9 +221,9 @@ pub fn votes_to_csv(dataset: &Dataset) -> String {
     let mut out = String::from("source,fact,vote\n");
     for f in dataset.facts() {
         for sv in dataset.votes().votes_on(f) {
-            out.push_str(&escape(dataset.source_name(sv.source)));
+            out.push_str(&escape_field(dataset.source_name(sv.source)));
             out.push(',');
-            out.push_str(&escape(dataset.fact_name(f)));
+            out.push_str(&escape_field(dataset.fact_name(f)));
             out.push(',');
             out.push(sv.vote.symbol());
             out.push('\n');
@@ -179,7 +240,7 @@ pub fn truth_to_csv(dataset: &Dataset) -> Result<String, CoreError> {
     let truth = dataset.require_ground_truth()?;
     let mut out = String::from("fact,label\n");
     for (f, label) in truth.iter() {
-        out.push_str(&escape(dataset.fact_name(f)));
+        out.push_str(&escape_field(dataset.fact_name(f)));
         out.push(',');
         out.push_str(if label.as_bool() { "true" } else { "false" });
         out.push('\n');
@@ -192,7 +253,7 @@ pub fn truth_to_csv(dataset: &Dataset) -> Result<String, CoreError> {
 pub fn sources_to_csv(dataset: &Dataset) -> String {
     let mut out = String::from("source\n");
     for s in dataset.sources() {
-        out.push_str(&escape(dataset.source_name(s)));
+        out.push_str(&escape_field(dataset.source_name(s)));
         out.push('\n');
     }
     out
@@ -226,92 +287,79 @@ pub fn dataset_from_csv_full(
     truth_csv: Option<&str>,
     sources_csv: Option<&str>,
 ) -> Result<Dataset, CoreError> {
-    // Names are slices of the input (owned only on lines with quotes) and
-    // are copied once, appended to the builder's name arenas. The files are
-    // read roster, truth, votes: a bad set of files reports the first error
-    // in that order.
-    let mut b = DatasetBuilder::new();
-    let mut fields = Vec::new();
-    let mut sources: HashMap<Cow<'_, str>, SourceId> = HashMap::new();
-    for (line_no, line) in records(sources_csv.unwrap_or("")) {
-        split_line(line, "roster", line_no, 1, &mut fields)?;
-        if fields[0] == "source" {
-            // Header row (wherever comments put it).
-            continue;
-        }
-        match sources.entry(std::mem::take(&mut fields[0])) {
-            Entry::Occupied(e) => {
-                return Err(line_error(
-                    "roster",
-                    line_no,
-                    format!("duplicate source {:?}", e.key()),
-                ))
-            }
-            Entry::Vacant(e) => {
-                let s = b.add_source(e.key().as_ref());
-                e.insert(s);
-            }
-        }
-    }
+    let truth_csv = truth_csv.unwrap_or("");
+    let cut = cut_point(votes_csv, truth_csv.len());
+    load(votes_csv, truth_csv, sources_csv.unwrap_or(""), cut)
+}
 
-    let mut truth: Vec<(Cow<'_, str>, Label)> = Vec::new();
-    for (line_no, line) in records(truth_csv.unwrap_or("")) {
-        split_line(line, "truth", line_no, 2, &mut fields)?;
-        if fields[0] == "fact" && fields[1] == "label" {
-            // Header row (wherever comments put it).
-            continue;
-        }
-        let is_any =
-            |spellings: [&str; 3]| spellings.iter().any(|s| fields[1].eq_ignore_ascii_case(s));
-        let label = if is_any(["true", "t", "1"]) {
-            Label::True
-        } else if is_any(["false", "f", "0"]) {
-            Label::False
-        } else {
-            let other = fields[1].to_ascii_lowercase();
-            return Err(line_error("truth", line_no, format!("unknown label {other:?}")));
-        };
-        truth.push((std::mem::take(&mut fields[0]), label));
-    }
+/// Where [`dataset_from_csv_full`] cuts a votes text in two: just past the
+/// first `\n` at or after the byte that would make the head as long as the
+/// tail and `truth_len` bytes of truth text together, or at the text's end
+/// when no `\n` follows that byte. The offset is found in the bytes, and no
+/// multi-byte character holds a `\n` byte, so the cut is a character
+/// boundary.
+fn cut_point(votes: &str, truth_len: usize) -> usize {
+    let target = (votes.len() + truth_len) / 2;
+    let rest = votes.as_bytes().get(target..).unwrap_or_default();
+    rest.iter().position(|&c| c == b'\n').map_or(votes.len(), |i| target + i + 1)
+}
 
-    // Facts are interned without a map keyed by name. A vote line that
-    // names the fact of the data line before it reuses that fact; any
-    // other line registers a provisional fact and records its name's hash.
-    // `RandomState` keys the hash, so crafted names cannot aim at one
-    // partition of the merge and lookups below.
+/// The number of `\n` bytes in `text`. Counting in one-byte lanes, 255
+/// bytes at a time so that a lane cannot overflow, lets the compiler
+/// vectorize the loop; a `usize` count per byte ran about five times
+/// slower.
+fn count_newlines(text: &str) -> usize {
+    let lanes = |chunk: &[u8]| chunk.iter().map(|&c| u8::from(c == b'\n')).sum::<u8>();
+    text.as_bytes().chunks(255).map(|chunk| usize::from(lanes(chunk))).sum()
+}
+
+/// [`dataset_from_csv_full`] with the votes text cut at byte `cut`: 0, the
+/// text's length, or just past a `\n`. The calling thread reads the roster
+/// and the head; one scoped thread reads the truth text and then the tail.
+fn load<'a>(
+    votes: &'a str,
+    truth: &'a str,
+    roster: &'a str,
+    cut: usize,
+) -> Result<Dataset, CoreError> {
+    let (head_text, tail_text) = votes.split_at(cut);
+    let (head_lines, tail_lines, truth_lines) =
+        (count_newlines(head_text), count_newlines(tail_text), count_newlines(truth));
+    // The cast lists and the truth rows are sized from line counts here, on
+    // the calling thread, so that none of them grows on the other thread.
+    // Once an earlier load has freed its large buffers, the allocator
+    // serves later ones from heap memory that stays resident and grows
+    // them by copying; grown there, they raised the peak of every load
+    // after the first by about 10 MB at a million facts.
+    let mut head = Part::new(head_lines + 1);
+    head.read_roster(roster)?;
+    let tail = Part::new(tail_lines + 1);
+    let rows = TruthRows::new(truth, truth_lines + 1);
+
+    // `RandomState` keys the name hashes, so crafted names cannot aim at
+    // one partition of the merge and lookups below. Both parts hash alike.
     let hasher = RandomState::new();
-    let mut hashes: Vec<u64> = Vec::with_capacity(truth.len());
-    let mut last = None;
-    for (line_no, line) in records(votes_csv) {
-        split_line(line, "votes", line_no, 3, &mut fields)?;
-        if fields[0] == "source" && fields[1] == "fact" && fields[2] == "vote" {
-            // Header row (wherever comments put it).
-            continue;
-        }
-        let vote = match fields[2].as_ref() {
-            "T" | "t" => Vote::True,
-            "F" | "f" => Vote::False,
-            other => {
-                let other = other.to_ascii_uppercase();
-                return Err(line_error("votes", line_no, format!("unknown vote {other:?}")));
-            }
+    let other = |mut rows: TruthRows<'a>, mut tail: Part<'a>| {
+        let rows = rows.read_rows().map(|()| rows);
+        let tail = tail.read_votes(tail_text, head_lines, &hasher).map(|()| tail);
+        (rows, tail)
+    };
+    let (head_read, (rows, tail)) = std::thread::scope(|scope| {
+        let spawned = std::thread::Builder::new().spawn_scoped(scope, move || other(rows, tail));
+        let head_read = head.read_votes(head_text, 0, &hasher);
+        let other_read = match spawned {
+            Ok(thread) => thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            Err(_) => other(TruthRows::new(truth, truth_lines + 1), Part::new(tail_lines + 1)),
         };
-        let s = *sources
-            .entry(std::mem::take(&mut fields[0]))
-            .or_insert_with_key(|name| b.add_source(name.as_ref()));
-        let f = match last {
-            Some(f) if b.fact_name(f) == fields[1] => f,
-            _ => {
-                hashes.push(hasher.hash_one(fields[1].as_ref()));
-                let f = b.add_fact(fields[1].as_ref());
-                last = Some(f);
-                f
-            }
-        };
-        b.cast(s, f, vote)?;
-    }
+        (head_read, other_read)
+    });
+    // The first error in the order one pass would meet it.
+    let rows = rows?;
+    head_read?;
+    head.join(tail?);
+    let (mut b, mut hashes) = (head.b, head.hashes);
     // The merge and the label lookup index fact runs and truth rows by u32.
-    if hashes.len().max(truth.len()) >= EMPTY as usize {
+    if hashes.len().max(rows.len()) >= EMPTY as usize {
         let message = format!("more than {} fact runs or truth rows", EMPTY - 1);
         return Err(CoreError::InvalidConfig { message });
     }
@@ -329,8 +377,205 @@ pub fn dataset_from_csv_full(
         b.merge_duplicate_facts(first);
     }
 
-    attach_labels(&mut b, truth, hashes, &hasher);
+    attach_labels(&mut b, rows, hashes, &hasher);
     b.build()
+}
+
+/// One part of a votes file, read into a builder of its own, with the
+/// sources it registered by name and the name hash of each fact it
+/// registered. Names are slices of the input (owned only on lines with
+/// quotes) and are copied once, into the builder's name arenas.
+struct Part<'a> {
+    b: DatasetBuilder,
+    sources: HashMap<Cow<'a, str>, SourceId>,
+    hashes: Vec<u64>,
+}
+
+impl<'a> Part<'a> {
+    /// An empty part with room for `casts` casts.
+    fn new(casts: usize) -> Self {
+        let mut b = DatasetBuilder::new();
+        b.reserve_casts(casts);
+        Self { b, sources: HashMap::new(), hashes: Vec::new() }
+    }
+
+    /// Registers the sources of a roster text, in its order.
+    fn read_roster(&mut self, roster: &'a str) -> Result<(), CoreError> {
+        let mut fields = Vec::new();
+        for (line_no, line) in records(roster) {
+            split_line(line, "roster", line_no, 1, &mut fields)?;
+            if fields[0] == "source" {
+                // Header row (wherever comments put it).
+                continue;
+            }
+            match self.sources.entry(std::mem::take(&mut fields[0])) {
+                Entry::Occupied(e) => {
+                    return Err(line_error(
+                        "roster",
+                        line_no,
+                        format!("duplicate source {:?}", e.key()),
+                    ))
+                }
+                Entry::Vacant(e) => {
+                    let s = self.b.add_source(e.key().as_ref());
+                    e.insert(s);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the vote lines of `text`, which follows `lines_before` lines of
+    /// the votes file.
+    ///
+    /// Facts are interned without a map keyed by name. A line that names
+    /// the fact of the data line before it reuses that fact; any other line
+    /// registers a provisional fact and records its name's hash.
+    fn read_votes(
+        &mut self,
+        text: &'a str,
+        lines_before: usize,
+        hasher: &RandomState,
+    ) -> Result<(), CoreError> {
+        let mut fields = Vec::new();
+        let mut last = None;
+        for (line_no, line) in records(text) {
+            let line_no = lines_before + line_no;
+            split_line(line, "votes", line_no, 3, &mut fields)?;
+            if fields[0] == "source" && fields[1] == "fact" && fields[2] == "vote" {
+                // Header row (wherever comments put it).
+                continue;
+            }
+            let vote = match fields[2].as_ref() {
+                "T" | "t" => Vote::True,
+                "F" | "f" => Vote::False,
+                other => {
+                    let other = other.to_ascii_uppercase();
+                    return Err(line_error("votes", line_no, format!("unknown vote {other:?}")));
+                }
+            };
+            let s = *self
+                .sources
+                .entry(std::mem::take(&mut fields[0]))
+                .or_insert_with_key(|name| self.b.add_source(name.as_ref()));
+            let f = match last {
+                Some(f) if self.b.fact_name(f) == fields[1] => f,
+                _ => {
+                    self.hashes.push(hasher.hash_one(fields[1].as_ref()));
+                    let f = self.b.add_fact(fields[1].as_ref());
+                    last = Some(f);
+                    f
+                }
+            };
+            self.b.cast(s, f, vote)?;
+        }
+        Ok(())
+    }
+
+    /// Appends `tail`, the part that read the rest of the votes file, so
+    /// that this part holds what it would have read from both. The tail's
+    /// new sources follow this part's in the tail's order of first
+    /// appearance. If the tail's first fact has this part's last fact's
+    /// name, one run of lines was cut in two: it stays one fact, and the
+    /// tail's hash of it is dropped. Names the parts share otherwise are
+    /// left to the merge.
+    fn join(&mut self, tail: Part<'_>) {
+        let sources: Vec<SourceId> = (0..tail.b.n_sources())
+            .map(|s| {
+                let name = tail.b.source_name(SourceId::new(s));
+                match self.sources.get(name) {
+                    Some(&id) => id,
+                    None => self.b.add_source(name),
+                }
+            })
+            .collect();
+        let n = self.b.n_facts();
+        let joined = n > 0
+            && tail.b.n_facts() > 0
+            && self.b.fact_name(FactId::new(n - 1)) == tail.b.fact_name(FactId::new(0));
+        // Exact room rather than doubled capacity, here and in the name
+        // arena: after a first load, doubled buffers missed the heap's free
+        // space and raised the peak of later loads by about 4 MB at a
+        // million facts.
+        self.hashes.reserve_exact(tail.hashes.len());
+        self.hashes.extend_from_slice(&tail.hashes[usize::from(joined)..]);
+        self.b.append(tail.b, &sources, joined);
+    }
+}
+
+/// The rows of a truth file, nine bytes each: the byte range of a name and
+/// its label. A range below the text's length addresses the text; one past
+/// it addresses `unquoted`, which holds the names unescaped from quotes, as
+/// if it followed the text.
+struct TruthRows<'a> {
+    text: &'a str,
+    unquoted: String,
+    names: Vec<[u32; 2]>,
+    labels: Vec<Label>,
+}
+
+impl<'a> TruthRows<'a> {
+    /// No rows yet of `text`, with room for `rows` of them.
+    fn new(text: &'a str, rows: usize) -> Self {
+        let (names, labels) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        Self { text, unquoted: String::new(), names, labels }
+    }
+
+    fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// The name on `row`.
+    fn name(&self, row: usize) -> &str {
+        let [start, end] = self.names[row].map(|offset| offset as usize);
+        match start.checked_sub(self.text.len()) {
+            Some(start) => &self.unquoted[start..end - self.text.len()],
+            None => &self.text[start..end],
+        }
+    }
+
+    /// Reads the rows of the text.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidConfig`] on a malformed line, an unknown label,
+    /// or names that reach past byte `u32::MAX` of the text and the
+    /// unquoted names together.
+    fn read_rows(&mut self) -> Result<(), CoreError> {
+        let text = self.text;
+        let mut fields = Vec::new();
+        for (line_no, line) in records(text) {
+            split_line(line, "truth", line_no, 2, &mut fields)?;
+            if fields[0] == "fact" && fields[1] == "label" {
+                // Header row (wherever comments put it).
+                continue;
+            }
+            let is_any =
+                |spellings: [&str; 3]| spellings.iter().any(|s| fields[1].eq_ignore_ascii_case(s));
+            let label = if is_any(["true", "t", "1"]) {
+                Label::True
+            } else if is_any(["false", "f", "0"]) {
+                Label::False
+            } else {
+                let other = fields[1].to_ascii_lowercase();
+                return Err(line_error("truth", line_no, format!("unknown label {other:?}")));
+            };
+            // A borrowed name is a slice of `text`.
+            let start = match &fields[0] {
+                Cow::Borrowed(name) => name.as_ptr().addr() - text.as_ptr().addr(),
+                Cow::Owned(name) => {
+                    self.unquoted.push_str(name);
+                    text.len() + self.unquoted.len() - name.len()
+                }
+            };
+            let Ok(end) = u32::try_from(start + fields[0].len()) else {
+                let message = format!("more than {} bytes of truth names", u32::MAX);
+                return Err(CoreError::InvalidConfig { message });
+            };
+            self.names.push([start as u32, end]);
+            self.labels.push(label);
+        }
+        Ok(())
+    }
 }
 
 /// Labels the voted facts of `b` from the `truth` rows, last row winning;
@@ -345,33 +590,34 @@ pub fn dataset_from_csv_full(
 /// value so that they are freed before the dataset is built.
 fn attach_labels(
     b: &mut DatasetBuilder,
-    mut truth: Vec<(Cow<'_, str>, Label)>,
+    truth: TruthRows<'_>,
     hashes: Vec<u64>,
     hasher: &RandomState,
 ) {
     let n_voted = b.n_facts();
     let mut next = 0;
     let mut misses = Vec::new();
-    for (row, (name, label)) in truth.iter().enumerate() {
-        if next < n_voted && b.fact_name(FactId::new(next)) == name {
-            b.set_label(FactId::new(next), *label);
+    for (row, &label) in truth.labels.iter().enumerate() {
+        if next < n_voted && b.fact_name(FactId::new(next)) == truth.name(row) {
+            b.set_label(FactId::new(next), label);
             next += 1;
         } else {
             misses.push((row, next));
         }
     }
     let miss_hashes: Vec<u64> =
-        misses.iter().map(|&(row, _)| hasher.hash_one(truth[row].0.as_ref())).collect();
-    let found =
-        find_all(&hashes, &miss_hashes, |f, m| b.fact_name(FactId::new(f)) == truth[misses[m].0].0);
+        misses.iter().map(|&(row, _)| hasher.hash_one(truth.name(row))).collect();
+    let found = find_all(&hashes, &miss_hashes, |f, m| {
+        b.fact_name(FactId::new(f)) == truth.name(misses[m].0)
+    });
     let mut truth_only = BTreeMap::new();
     for (&(row, cursor), found) in misses.iter().zip(found) {
-        let label = truth[row].1;
+        let label = truth.labels[row];
         match found.map(|f| f as usize) {
             Some(f) if (cursor..next).contains(&f) => {} // a later row hit it
             Some(f) => b.set_label(FactId::new(f), label),
             None => {
-                truth_only.insert(std::mem::take(&mut truth[row].0), label);
+                truth_only.insert(truth.name(row), label);
             }
         }
     }
@@ -534,6 +780,8 @@ fn find_all(
 mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> Dataset {
         let mut b = DatasetBuilder::new();
@@ -663,34 +911,53 @@ mod tests {
         assert!(e.to_string().contains("roster line 1: unterminated"), "{e}");
     }
 
+    // The files of `loader_contract_is_pinned`: CRLF throughout; a header
+    // mid-file, comments, blank lines and padded lines in every file; "f1"
+    // and f1 name one fact.
+    const CONTRACT_ROSTER: &str = "# feeds\r\nsource\r\nZed\r\n\"Alpha\"\r\n";
+    const CONTRACT_VOTES: &str = "# crawl, Feb 2012\r\n\
+                                  B,f2,T\r\n\
+                                  \r\n\
+                                  A,\"f1\",F\r\n\
+                                  source,fact,vote\r\n\
+                                  \x20 Alpha,f1,t \r\n\
+                                  B,f3,f\r\n\
+                                  A,f1,T\r\n\
+                                  C,\"f4\",T\r\n\
+                                  B,f2,F\r\n\
+                                  # end\r\n";
+    const CONTRACT_TRUTH: &str = "fact,label\r\n\
+                                  f4,TRUE\r\n\
+                                  # labels\r\n\
+                                  f1,true\r\n\
+                                  \"f2\",t\r\n\
+                                  \r\n\
+                                  f3,F\r\n\
+                                  zz,TRUE\r\n\
+                                  f1,0\r\n\
+                                  aa,1\r\n\
+                                  fact,label\r\n\
+                                  zz,f\r\n";
+
+    /// The bad file sets of `loader_contract_is_pinned` (votes, truth,
+    /// roster) and the error each gives.
+    const CONTRACT_ERRORS: [(&str, Option<&str>, Option<&str>, &str); 11] = [
+        ("A,f1\n", None, None, "votes line 1: expected 3 fields, got 2"),
+        ("# c\n\nA,f1,T\nA,f1\n", None, None, "votes line 4: expected 3 fields, got 2"),
+        ("A,f1,X\n", None, None, "votes line 1: unknown vote \"X\""),
+        ("A,f1,yes\n", None, None, "votes line 1: unknown vote \"YES\""),
+        ("A,f1,T\n", Some("f1,maybe\n"), None, "truth line 1: unknown label \"maybe\""),
+        ("A,f1,T\n", Some("f1,MayBe\n"), None, "truth line 1: unknown label \"maybe\""),
+        ("", Some("a,b,c\n"), None, "truth line 1: expected 2 fields, got 3"),
+        ("", None, Some("A\nA\n"), "roster line 2: duplicate source \"A\""),
+        ("", None, Some("A,B\n"), "roster line 1: expected 1 field, got 2"),
+        ("A,f1,X\n", Some("f1,maybe\n"), Some("A\nA\n"), "roster line 2: duplicate source \"A\""),
+        ("A,f1,X\n", Some("f1,maybe\n"), None, "truth line 1: unknown label \"maybe\""),
+    ];
+
     #[test]
     fn loader_contract_is_pinned() {
-        // CRLF throughout; a header mid-file, comments, blank lines and
-        // padded lines in every file; "f1" and f1 name one fact.
-        let roster = "# feeds\r\nsource\r\nZed\r\n\"Alpha\"\r\n";
-        let votes = "# crawl, Feb 2012\r\n\
-                     B,f2,T\r\n\
-                     \r\n\
-                     A,\"f1\",F\r\n\
-                     source,fact,vote\r\n\
-                     \x20 Alpha,f1,t \r\n\
-                     B,f3,f\r\n\
-                     A,f1,T\r\n\
-                     C,\"f4\",T\r\n\
-                     B,f2,F\r\n\
-                     # end\r\n";
-        let truth = "fact,label\r\n\
-                     f4,TRUE\r\n\
-                     # labels\r\n\
-                     f1,true\r\n\
-                     \"f2\",t\r\n\
-                     \r\n\
-                     f3,F\r\n\
-                     zz,TRUE\r\n\
-                     f1,0\r\n\
-                     aa,1\r\n\
-                     fact,label\r\n\
-                     zz,f\r\n";
+        let (roster, votes, truth) = (CONTRACT_ROSTER, CONTRACT_VOTES, CONTRACT_TRUTH);
         let ds = dataset_from_csv_full(votes, Some(truth), Some(roster)).unwrap();
 
         // Roster sources first, then the rest by first appearance.
@@ -719,24 +986,7 @@ mod tests {
 
         // Errors: exact text and the physical line number. A bad set of
         // files reports the first failing file in roster, truth, votes order.
-        for (votes, truth, roster, message) in [
-            ("A,f1\n", None, None, "votes line 1: expected 3 fields, got 2"),
-            ("# c\n\nA,f1,T\nA,f1\n", None, None, "votes line 4: expected 3 fields, got 2"),
-            ("A,f1,X\n", None, None, "votes line 1: unknown vote \"X\""),
-            ("A,f1,yes\n", None, None, "votes line 1: unknown vote \"YES\""),
-            ("A,f1,T\n", Some("f1,maybe\n"), None, "truth line 1: unknown label \"maybe\""),
-            ("A,f1,T\n", Some("f1,MayBe\n"), None, "truth line 1: unknown label \"maybe\""),
-            ("", Some("a,b,c\n"), None, "truth line 1: expected 2 fields, got 3"),
-            ("", None, Some("A\nA\n"), "roster line 2: duplicate source \"A\""),
-            ("", None, Some("A,B\n"), "roster line 1: expected 1 field, got 2"),
-            (
-                "A,f1,X\n",
-                Some("f1,maybe\n"),
-                Some("A\nA\n"),
-                "roster line 2: duplicate source \"A\"",
-            ),
-            ("A,f1,X\n", Some("f1,maybe\n"), None, "truth line 1: unknown label \"maybe\""),
-        ] {
+        for (votes, truth, roster, message) in CONTRACT_ERRORS {
             let e = dataset_from_csv_full(votes, truth, roster).unwrap_err();
             assert_eq!(e.to_string(), format!("invalid configuration: {message}"));
         }
@@ -745,6 +995,183 @@ mod tests {
         };
         assert!(err("\"A,f1,T\n", None).ends_with("line 1: unterminated quoted field"));
         assert!(err("", Some("\"A\n")).ends_with("line 1: unterminated quoted field"));
+    }
+
+    /// What a load gives, as text: the dataset's `Debug` form or the error.
+    fn outcome(loaded: Result<Dataset, CoreError>) -> String {
+        match loaded {
+            Ok(ds) => format!("{ds:?}"),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// Loads the files with the votes text cut at every line boundary and
+    /// checks that each cut gives what one part gives.
+    fn assert_every_cut_loads_alike(votes: &str, truth: &str, roster: &str) {
+        let one_part = outcome(load(votes, truth, roster, votes.len()));
+        let newlines = votes.bytes().enumerate().filter(|&(_, c)| c == b'\n');
+        for cut in std::iter::once(0).chain(newlines.map(|(i, _)| i + 1)) {
+            let got = outcome(load(votes, truth, roster, cut));
+            assert_eq!(
+                got, one_part,
+                "cut at byte {cut}\nvotes:\n{votes}\ntruth:\n{truth}\nroster:\n{roster}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_cut_of_the_contract_files_loads_like_one_part() {
+        assert_every_cut_loads_alike(CONTRACT_VOTES, CONTRACT_TRUTH, CONTRACT_ROSTER);
+        assert_every_cut_loads_alike(CONTRACT_VOTES, "", "");
+        for (votes, truth, roster, _) in CONTRACT_ERRORS {
+            assert_every_cut_loads_alike(votes, truth.unwrap_or(""), roster.unwrap_or(""));
+        }
+        // Errors in the head, the tail and both, with a mid-file header
+        // and a source first seen after every cut.
+        let votes = "A,f1,T\nsource,fact,vote\nB,f1,X\nA,f2,T\n\"C,f2,T\nD,f2,F\n";
+        assert_every_cut_loads_alike(votes, CONTRACT_TRUTH, "");
+        assert_every_cut_loads_alike("A,f1,T\r\nA,f2,F\r\nB,f1,T\r\nE,f1", "", "B\n");
+    }
+
+    /// `name` as a field: quoted where the dialect needs it, and at random
+    /// elsewhere.
+    fn field(rng: &mut StdRng, name: &str) -> String {
+        if escape_field(name) != name || rng.gen_bool(0.25) {
+            format!("\"{}\"", name.replace('"', "\"\""))
+        } else {
+            name.to_string()
+        }
+    }
+
+    /// A small random votes, truth and roster text. Lines are CRLF in half
+    /// the sets and may be padded; headers, comments and blank lines fall
+    /// mid-file; names are quoted where they must be and at random
+    /// elsewhere. Half the vote lines keep the fact of the line before, so
+    /// runs are often cut in two. In one set in three, one line in eight
+    /// is bad: an unterminated quote, an extra field, or a bad vote or
+    /// label.
+    fn random_files(rng: &mut StdRng) -> [String; 3] {
+        const SOURCES: [&str; 5] = ["A", "B", "s,1", " S", "C"];
+        const FACTS: [&str; 9] = ["f1", "f2", "x y", "z,z", "q\"t", " pad", "#h", "", "é"];
+        let eol = ["\n", "\r\n"][rng.gen_range(0..2)];
+        let bad = rng.gen_bool(1.0 / 3.0);
+        let (mut fact, roster_start) = (0, rng.gen_range(0..SOURCES.len()));
+        let mut files = [String::new(), String::new(), String::new()];
+        for (file, out) in files.iter_mut().enumerate() {
+            for line in 0..rng.gen_range(0..[24, 12, 4][file]) {
+                let header = ["source,fact,vote", "fact,label", "source"][file];
+                if let Some(decor) =
+                    [header, "# a comment, \"quoted\"", ""].get(rng.gen_range(0..12))
+                {
+                    out.push_str(decor);
+                    out.push_str(eol);
+                    continue;
+                }
+                if rng.gen_bool(0.5) {
+                    fact = rng.gen_range(0..FACTS.len());
+                }
+                let mut text = match file {
+                    0 => {
+                        let source = SOURCES[rng.gen_range(0..SOURCES.len())];
+                        let source = field(rng, source);
+                        let vote = ["T", "F", "t", "f"][rng.gen_range(0..4)];
+                        format!("{source},{},{vote}", field(rng, FACTS[fact]))
+                    }
+                    1 => {
+                        let label = ["true", "F", "1", "0"][rng.gen_range(0..4)];
+                        format!("{},{label}", field(rng, FACTS[fact]))
+                    }
+                    // Roster names are distinct: a duplicate would fail
+                    // before any part is read.
+                    _ => field(rng, SOURCES[(roster_start + line) % SOURCES.len()]),
+                };
+                if bad && rng.gen_bool(0.125) {
+                    text = match rng.gen_range(0..3) {
+                        0 => format!("\"{text}"),
+                        1 => format!("x,{text}"),
+                        _ => format!("{text}X"),
+                    };
+                }
+                let pad = ["", "  "][rng.gen_range(0..2)];
+                out.push_str(&format!("{pad}{text}{pad}{eol}"));
+            }
+        }
+        if rng.gen_bool(0.25) {
+            // No newline at the end of the votes text.
+            files[0].truncate(files[0].trim_end().len());
+        }
+        files
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "thousands of loads; Miri sweeps the contract files")]
+    fn every_cut_of_random_file_sets_loads_like_one_part() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..400 {
+            let [votes, truth, roster] = random_files(&mut rng);
+            assert_every_cut_loads_alike(&votes, &truth, &roster);
+        }
+    }
+
+    #[test]
+    fn a_run_cut_in_two_stays_one_fact_before_the_merge() {
+        // f1's run spans the cut; C is first seen in the tail.
+        let (head_text, tail_text) = ("A,f1,T\n", "C,f1,F\nB,f1,T\nA,f2,T\n");
+        let hasher = RandomState::new();
+        let mut head = Part::new(2);
+        head.read_roster("B\n").unwrap();
+        head.read_votes(head_text, 0, &hasher).unwrap();
+        let mut tail = Part::new(4);
+        tail.read_votes(tail_text, 1, &hasher).unwrap();
+        assert_eq!((head.b.n_facts(), tail.b.n_facts()), (1, 2));
+        head.join(tail);
+        // One fact and one hash per run, as one pass gives, so the merge
+        // has no repeat to find.
+        assert_eq!((head.b.n_facts(), head.hashes.len()), (2, 2));
+        assert_eq!(first_occurrences(&head.hashes, |i, j| i == j), [0, 1]);
+        let ds = head.b.build().unwrap();
+        let sources: Vec<&str> = ds.sources().map(|s| ds.source_name(s)).collect();
+        assert_eq!(sources, ["B", "A", "C"]);
+        assert_eq!(ds.votes().votes_on(FactId::new(0)).len(), 3);
+        assert_eq!(ds.votes().vote(SourceId::new(2), FactId::new(0)), Some(Vote::False));
+        assert_eq!(ds.votes().vote(SourceId::new(1), FactId::new(1)), Some(Vote::True));
+    }
+
+    #[test]
+    fn newlines_are_counted_across_lane_chunks() {
+        assert_eq!(count_newlines(""), 0);
+        assert_eq!(count_newlines("a\r\nb\nc"), 2);
+        // Runs of newlines longer than a chunk, and multi-byte characters.
+        let text = "\n".repeat(1_000) + &"é,\n".repeat(300);
+        assert_eq!(count_newlines(&text), 1_300);
+    }
+
+    #[test]
+    fn the_cut_falls_just_past_a_newline() {
+        // Empty input, and no newline at or after the target: one part.
+        assert_eq!(cut_point("", 0), 0);
+        assert_eq!(cut_point("", 9), 0);
+        assert_eq!(cut_point("A,f1,T", 0), 6);
+        // The target, (13 + 0) / 2 = 6, is the `\n` itself.
+        assert_eq!(cut_point("A,f1,T\nB,f2,F", 0), 7);
+        // Otherwise the cut is past the next `\n`.
+        assert_eq!(cut_point("A,f1,T\nB,f2,F\nC,f3,T\n", 0), 14);
+        // The truth text moves the target; a long one leaves every line
+        // to the head.
+        assert_eq!(cut_point("A,f1,T\nB,f2,F\nC,f3,T\n", 10), 21);
+        assert_eq!(cut_point("A,f1,T\nB,f2,F\n", 100), 14);
+        // CRLF: a target on the `\r` or on the `\n` cuts past the `\n`.
+        let crlf = "A,f1,T\r\nB,f2,F\r\nC,f3,T\r\n";
+        assert_eq!(crlf.as_bytes()[14..16], *b"\r\n");
+        assert_eq!(cut_point(crlf, 0), 16);
+        assert_eq!(cut_point(crlf, 4), 16);
+        assert_eq!(cut_point(crlf, 6), 16);
+        // A name of three-byte characters straddles the target: the cut
+        // is past the line's `\n`, a character boundary.
+        let votes = "A,寿司寿司寿司,T\nB,f2,T\n";
+        assert!(!votes.is_char_boundary(votes.len() / 2));
+        let cut = cut_point(votes, 0);
+        assert_eq!(&votes[..cut], "A,寿司寿司寿司,T\n");
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl VoteMatrix {
 
 /// Builder for [`VoteMatrix`].
 ///
-/// Casts are appended to one flat list in arrival order; [`Self::build`]
+/// Casts are appended to a flat list in arrival order; [`Self::build`]
 /// sorts them into both orientations at once.
 ///
 /// ```
@@ -231,13 +231,16 @@ impl VoteMatrix {
 pub struct VoteMatrixBuilder {
     n_sources: usize,
     n_facts: usize,
+    /// Casts in arrival order: the `sealed` lists first, then `casts`, the
+    /// one new casts go to. An appended builder's list joins whole.
+    sealed: Vec<Vec<(FactId, SourceVote)>>,
     casts: Vec<(FactId, SourceVote)>,
 }
 
 impl VoteMatrixBuilder {
     /// Creates an empty builder for `n_sources × n_facts`.
     pub fn new(n_sources: usize, n_facts: usize) -> Self {
-        Self { n_sources, n_facts, casts: Vec::new() }
+        Self { n_sources, n_facts, sealed: Vec::new(), casts: Vec::new() }
     }
 
     /// Widens the matrix by one source.
@@ -279,11 +282,40 @@ impl VoteMatrixBuilder {
         Ok(())
     }
 
+    /// Reserves room for `additional` more casts.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.casts.reserve_exact(additional);
+    }
+
+    /// Every cast list, in arrival order.
+    fn lists_mut(&mut self) -> impl Iterator<Item = &mut Vec<(FactId, SourceVote)>> {
+        self.sealed.iter_mut().chain([&mut self.casts])
+    }
+
+    /// Appends the casts of `tail` after this builder's, renaming in place
+    /// its source `s` to `sources[s]` and its fact `f` to `first + f`, and
+    /// widens the matrix to `first + tail`'s facts. The tail's lists join
+    /// whole, without a copy. The sources must be registered here already.
+    pub(crate) fn append(
+        &mut self,
+        mut tail: VoteMatrixBuilder,
+        sources: &[SourceId],
+        first: usize,
+    ) {
+        for (fact, sv) in tail.lists_mut().flatten() {
+            *fact = FactId::new(first + fact.index());
+            sv.source = sources[sv.source.index()];
+        }
+        self.sealed.push(std::mem::replace(&mut self.casts, tail.casts));
+        self.sealed.extend(tail.sealed);
+        self.n_facts = first + tail.n_facts;
+    }
+
     /// Renames the fact of every cast through `ids` (old id → new id) and
     /// narrows the matrix to `n_facts`. Casts keep their arrival order, so
     /// last writer still wins at [`Self::build`].
     pub(crate) fn remap_facts(&mut self, ids: &[u32], n_facts: usize) {
-        for (fact, _) in &mut self.casts {
+        for (fact, _) in self.lists_mut().flatten() {
             *fact = FactId::new(ids[fact.index()] as usize);
         }
         self.n_facts = n_facts;
@@ -298,11 +330,12 @@ impl VoteMatrixBuilder {
     /// 3. a counting sort of the rows by source, which visits facts in
     ///    increasing order, so each source's postings come out sorted.
     pub fn build(self) -> VoteMatrix {
+        let lists = || self.sealed.iter().chain([&self.casts]);
         let mut fact_ends =
-            counting_starts(self.n_facts, self.casts.iter().map(|(f, _)| f.index()));
-        let mut by_fact =
-            vec![SourceVote { source: SourceId::new(0), vote: Vote::True }; self.casts.len()];
-        for (fact, sv) in self.casts {
+            counting_starts(self.n_facts, lists().flatten().map(|(f, _)| f.index()));
+        let n_casts = lists().map(Vec::len).sum();
+        let mut by_fact = vec![SourceVote { source: SourceId::new(0), vote: Vote::True }; n_casts];
+        for (fact, sv) in self.sealed.into_iter().chain([self.casts]).flatten() {
             let slot = &mut fact_ends[fact.index()];
             by_fact[*slot] = sv;
             *slot += 1;

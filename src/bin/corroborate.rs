@@ -18,7 +18,7 @@ use corroborate::algorithms::baseline::{Counting, Voting};
 use corroborate::algorithms::bayes::{BayesEstimate, BayesEstimateConfig};
 use corroborate::algorithms::extra::{AccuVote, Pasternack, PasternackVariant, TruthFinder};
 use corroborate::algorithms::galland::{Cosine, ThreeEstimates, TwoEstimates};
-use corroborate::core::io::{dataset_from_csv, truth_to_csv, votes_to_csv};
+use corroborate::core::io::{dataset_from_csv, escape_field, truth_to_csv, votes_to_csv};
 use corroborate::prelude::*;
 
 const ALGORITHMS: &[(&str, &str)] = &[
@@ -121,7 +121,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     for f in ds.facts() {
         println!(
             "{},{:.4},{}",
-            escape_csv(ds.fact_name(f)),
+            escape_field(ds.fact_name(f)),
             result.probability(f),
             result.decisions().label(f).as_bool()
         );
@@ -129,7 +129,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if args.has("trust") {
         eprintln!("\nsource trust ({}):", alg.name());
         for s in ds.sources() {
-            eprintln!("  {},{:.4}", escape_csv(ds.source_name(s)), result.trust().trust(s));
+            eprintln!("  {},{:.4}", escape_field(ds.source_name(s)), result.trust().trust(s));
         }
     }
     if args.has("trajectory") {
@@ -235,14 +235,6 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn escape_csv(s: &str) -> String {
-    if s.contains([',', '"']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 fn usage() -> &'static str {
     "usage:\n  \
      corroborate run      --votes FILE [--truth FILE] [--algorithm NAME] [--seed N] [--trust] [--trajectory]\n  \
@@ -325,8 +317,16 @@ mod tests {
 
     #[test]
     fn csv_escaping_quotes_commas() {
-        assert_eq!(escape_csv("plain"), "plain");
-        assert_eq!(escape_csv("a,b"), "\"a,b\"");
-        assert_eq!(escape_csv("say \"hi\""), "\"say \"\"hi\"\"\"");
+        // `run` prints names in the loader's dialect.
+        assert_eq!(escape_field("plain"), "plain");
+        assert_eq!(escape_field("a,b"), "\"a,b\"");
+        assert_eq!(escape_field("say \"hi\""), "\"say \"\"hi\"\"\"");
+        // Names that trimming, comment skipping or blank-line skipping
+        // would change are quoted too.
+        assert_eq!(escape_field(" pad"), "\" pad\"");
+        assert_eq!(escape_field("pad "), "\"pad \"");
+        assert_eq!(escape_field("#h"), "\"#h\"");
+        assert_eq!(escape_field(""), "\"\"");
+        assert_eq!(escape_field("a#b c"), "a#b c");
     }
 }

@@ -52,8 +52,19 @@ fn all_corroborators() -> Vec<Box<dyn Corroborator>> {
     ]
 }
 
+/// 48 cases, or `PROPTEST_CASES` when set, as CI's boosted step sets it
+/// (an explicit `with_cases` would otherwise win over it).
+fn invariants_config() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.trim().parse::<u32>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(48);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(invariants_config())]
 
     /// Every algorithm returns probabilities and trust in [0, 1], covers
     /// every fact, and is deterministic.
