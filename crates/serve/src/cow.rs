@@ -124,12 +124,13 @@ impl CowMap {
     }
 
     /// Registers `name` → `id`, copying the name's shard first if a clone
-    /// shares it. A name registered twice keeps the later id.
-    pub(crate) fn insert(&mut self, name: Arc<str>, id: usize) {
+    /// shares it. A name registered twice keeps the later id; the earlier
+    /// one is returned, so one insert both registers and detects a repeat.
+    pub(crate) fn insert(&mut self, name: Arc<str>, id: usize) -> Option<usize> {
         if self.shards.is_empty() {
             self.shards = (0..SHARDS).map(|_| Arc::default()).collect();
         }
-        Arc::make_mut(&mut self.shards[shard_of(&name)]).insert(name, id);
+        Arc::make_mut(&mut self.shards[shard_of(&name)]).insert(name, id)
     }
 }
 
@@ -170,8 +171,8 @@ mod tests {
             map.insert(Arc::from(format!("name-{i}")), i);
         }
         let frozen = map.clone();
-        map.insert(Arc::from("fresh"), 1000);
-        map.insert(Arc::from("name-3"), 3000);
+        assert_eq!(map.insert(Arc::from("fresh"), 1000), None);
+        assert_eq!(map.insert(Arc::from("name-3"), 3000), Some(3));
         assert_eq!(map.get("fresh"), Some(1000));
         assert_eq!(map.get("name-3"), Some(3000));
         assert_eq!(frozen.get("fresh"), None);

@@ -116,21 +116,60 @@ impl DeltaDataset {
     pub(crate) fn from_dataset(dataset: &Dataset) -> Self {
         let mut out = Self::new();
         for s in dataset.sources() {
-            let name: Arc<str> = Arc::from(dataset.source_name(s));
-            out.source_ids.insert(Arc::clone(&name), s.index());
-            out.source_names.push(name);
+            out.push_source(dataset.source_name(s));
         }
         let truth = dataset.ground_truth();
         for f in dataset.facts() {
-            let name: Arc<str> = Arc::from(dataset.fact_name(f));
-            out.fact_ids.insert(Arc::clone(&name), f.index());
-            out.fact_names.push(name);
-            out.truth.push(truth.map(|t| t.label(f)));
+            out.push_fact(dataset.fact_name(f), truth.map(|t| t.label(f)));
             let votes = dataset.votes().votes_on(f);
-            out.signatures.push(votes.iter().map(|sv| (sv.source.index(), sv.vote)).collect());
-            out.n_votes += votes.len();
+            out.set_votes(f, votes.iter().map(|sv| (sv.source.index(), sv.vote)).collect());
         }
         out
+    }
+
+    /// Registers `name` under the next source id, returning whether the
+    /// name was new. A repeat leaves the state unusable (the name then
+    /// maps to the new id): a caller that sees `false` must drop it.
+    pub(crate) fn push_source(&mut self, name: &str) -> bool {
+        let name: Arc<str> = Arc::from(name);
+        let repeat = self.source_ids.insert(Arc::clone(&name), self.source_names.len());
+        self.source_names.push(name);
+        repeat.is_none()
+    }
+
+    /// Registers `name` under the next fact id with `label` and no votes,
+    /// marking nothing dirty. Returns whether the name was new, as
+    /// [`Self::push_source`] does.
+    pub(crate) fn push_fact(&mut self, name: &str, label: Option<Label>) -> bool {
+        let name: Arc<str> = Arc::from(name);
+        let repeat = self.fact_ids.insert(Arc::clone(&name), self.fact_names.len());
+        self.fact_names.push(name);
+        self.truth.push(label);
+        self.signatures.push(Arc::clone(&self.empty_signature.0));
+        repeat.is_none()
+    }
+
+    /// Gives `fact`, which has no votes yet, its `votes`: sorted by
+    /// source id, each source registered. Marks nothing dirty.
+    pub(crate) fn set_votes(&mut self, fact: FactId, votes: Signature) {
+        self.n_votes += votes.len();
+        *self.signatures.get_mut(fact.index()) = votes;
+    }
+
+    /// Source names in id order.
+    pub(crate) fn source_names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.source_names.iter().map(|name| &**name)
+    }
+
+    /// Facts in id order: name, label and signature.
+    pub(crate) fn facts(
+        &self,
+    ) -> impl Iterator<Item = (&str, Option<Label>, &[(usize, Vote)])> + '_ {
+        self.fact_names
+            .iter()
+            .zip(self.truth.iter())
+            .zip(self.signatures.iter())
+            .map(|((name, label), votes)| (&**name, *label, &**votes))
     }
 
     /// Number of registered sources.
@@ -216,9 +255,7 @@ impl DeltaDataset {
             return (id, false);
         }
         let id = self.source_names.len();
-        let name: Arc<str> = Arc::from(name);
-        self.source_ids.insert(Arc::clone(&name), id);
-        self.source_names.push(name);
+        self.push_source(name);
         (id, true)
     }
 
@@ -230,11 +267,7 @@ impl DeltaDataset {
             return (id, false);
         }
         let id = self.fact_names.len();
-        let name: Arc<str> = Arc::from(name);
-        self.fact_ids.insert(Arc::clone(&name), id);
-        self.fact_names.push(name);
-        self.truth.push(label);
-        self.signatures.push(Arc::clone(&self.empty_signature.0));
+        self.push_fact(name, label);
         self.mark_dirty(id);
         (id, true)
     }

@@ -33,7 +33,8 @@
 //! to its valid prefix and the replica simply stops there — it can refuse
 //! and refetch, but it can never journal (and therefore never serve) a
 //! torn batch. A fetched snapshot must decode as one whole CRC-valid frame
-//! before the replica replaces its local history with it.
+//! in canonical order before the replica replaces its local history with
+//! it; that one decode also gives the state the replica recovers into.
 //!
 //! This module sits inside the determinism and checked-arithmetic audit
 //! scopes: no hash-ordered containers, no direct wall-clock reads (time
@@ -50,6 +51,7 @@ use std::time::Duration;
 use corroborate_obs::{Counter, Json, Observer, Span};
 
 use crate::cluster::ReplicaStatus;
+use crate::delta::DeltaDataset;
 use crate::epoch::{EpochConfig, EpochEngine, EpochMode, Published, VerdictView};
 use crate::error::ServeError;
 use crate::http::{read_response, write_request, Request};
@@ -168,7 +170,20 @@ impl ReplicaCore {
         epoch_config: EpochConfig,
         obs: &O,
     ) -> Result<(Self, Arc<VerdictView>), ServeError> {
-        let (wal, recovery) = Wal::open_with(dir, wal_config, fs, obs)?;
+        Self::recover_from(dir, fs, wal_config, epoch_config, obs, None)
+    }
+
+    /// [`Self::recover`], given the snapshot a resync has just installed
+    /// in `dir` as its decoded seq and state (see [`Wal::open_from`]).
+    fn recover_from<O: Observer>(
+        dir: &Path,
+        fs: Arc<dyn WalFs>,
+        wal_config: WalConfig,
+        epoch_config: EpochConfig,
+        obs: &O,
+        installed: Option<(u64, DeltaDataset)>,
+    ) -> Result<(Self, Arc<VerdictView>), ServeError> {
+        let (wal, recovery) = Wal::open_from(dir, wal_config, fs, obs, installed)?;
         let applied_seq = recovery.next_seq.saturating_sub(1);
         let mut engine = EpochEngine::from_recovered(recovery.dataset, epoch_config)?;
         let (view, _) = engine.run_epoch(EpochMode::Full)?;
@@ -589,21 +604,23 @@ impl Fetcher {
 
     /// Abandons local history: replace the WAL directory with the
     /// primary's snapshot (or with nothing, if it has none yet) and
-    /// recover from scratch. A snapshot that fails its decode or CRC
-    /// check is refused before anything local is touched.
+    /// recover from scratch. The snapshot is decoded once: a snapshot that
+    /// fails its decode, CRC or order check is refused before anything
+    /// local is touched, and the decoded state seeds the recovery.
     fn full_resync(&mut self) -> Result<(), String> {
         let fetched = self.client.request("GET", "/wal/snapshot", &[])?;
         let snapshot =
             (fetched.status == 200 && !fetched.body.is_empty()).then_some(fetched.body.as_slice());
-        replace_with_snapshot(self.fs.as_ref(), &self.dir, snapshot)
+        let installed = replace_with_snapshot(self.fs.as_ref(), &self.dir, snapshot)
             .map_err(|e| format!("resync: {e}"))?;
         let obs = self.shared.metrics.observer();
-        let (core, view) = ReplicaCore::recover(
+        let (core, view) = ReplicaCore::recover_from(
             &self.dir,
             Arc::clone(&self.fs),
             self.wal_config,
             self.epoch_config,
             obs,
+            installed,
         )
         .map_err(|e| format!("resync recovery: {e}"))?;
         self.core = core;

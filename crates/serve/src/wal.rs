@@ -27,21 +27,30 @@
 //! batch is durable. A failed fsync fails the append that wrote the frame.
 //!
 //! When [`WalConfig::compact_after_records`] records accumulate, the
-//! active segment is sealed and a snapshot of the whole dataset state is
-//! written **concurrently with ingest** on a background thread (tmp-file
-//! rename); once it lands, the sealed segments it covers are deleted.
+//! active segment is sealed and a copy-on-write clone of the dataset
+//! state is handed to a background thread, which encodes and writes the
+//! snapshot **concurrently with ingest** (tmp-file rename); once it lands,
+//! the sealed segments it covers are deleted.
 //!
 //! A **snapshot** (`snapshot.cwb`) is written in the log's own codec: one
-//! CWB1 frame holding the state's canonical mutation stream (sources,
-//! facts, then votes), with the covered sequence in the header's
-//! `first_seq` field. So recovery, `GET /wal/snapshot` shipping and a
-//! replica's resync share one decoder and one CRC. Unlike a segment's torn
-//! tail, a snapshot is all or nothing: a CRC mismatch, a truncated frame,
-//! or bytes after it are [`ServeError::WalCorrupt`]. Recovery loads the
-//! snapshot, then replays any batch records with `seq` greater than the
-//! snapshot's — replay-then-snapshot stays idempotent. The manifest
-//! records the snapshot's sequence too, and recovery refuses a directory
-//! whose snapshot is missing or covers less than that.
+//! CWB1 frame holding the state's canonical mutation stream (every
+//! source, then every fact with its label, then each fact's votes by
+//! ascending fact and source id), with the covered sequence in the
+//! header's `first_seq` field. Segments and snapshots share one frame
+//! reader (magic, header, CRC) and one set of field readers and writers;
+//! only the payload's consumer differs. A segment's batch yields
+//! mutations; a snapshot is encoded straight from the state's columns and
+//! decoded straight into them, with its canonical order checked as it is
+//! read. So recovery, `GET /wal/snapshot` shipping and a replica's resync
+//! share one decoder and one CRC. Unlike a segment's torn tail, a
+//! snapshot is all or nothing: a CRC mismatch, a truncated frame, bytes
+//! after it, or a payload out of canonical order (a repeated or empty
+//! name, a vote naming an unregistered name, votes out of order) are
+//! [`ServeError::WalCorrupt`]. Recovery loads the snapshot, then replays
+//! any batch records with `seq` greater than the snapshot's —
+//! replay-then-snapshot stays idempotent. The manifest records the
+//! snapshot's sequence too, and recovery refuses a directory whose
+//! snapshot is missing or covers less than that.
 //!
 //! All I/O goes through the [`WalFs`] trait, so the crash-recovery matrix
 //! drives the exact same code over the deterministic fault-injecting
@@ -60,6 +69,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use corroborate_core::ids::FactId;
 use corroborate_core::truth::Label;
 use corroborate_core::vote::Vote;
 use corroborate_obs::{Json, Observer, Span, NOOP};
@@ -164,11 +174,16 @@ fn parse_seg_name(name: &str) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Mutation framing
+// Frames and their fields
 
 const OP_SOURCE: u8 = 0;
 const OP_FACT: u8 = 1;
 const OP_CAST: u8 = 2;
+
+/// Byte offset of `count` in the header.
+const OFF_COUNT: usize = 4;
+/// Byte offset of `first_seq` in the header.
+const OFF_SEQ: usize = 8;
 
 fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<(), ServeError> {
     let len = u32::try_from(s.len()).map_err(|_| ServeError::InvalidMutation {
@@ -177,6 +192,21 @@ fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<(), ServeError> {
     buf.extend_from_slice(&len.to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
     Ok(())
+}
+
+fn put_label(buf: &mut Vec<u8>, label: Option<Label>) {
+    buf.push(match label {
+        None => 0,
+        Some(l) if l.as_bool() => 1,
+        Some(_) => 2,
+    });
+}
+
+fn put_vote(buf: &mut Vec<u8>, vote: Vote) {
+    buf.push(match vote {
+        Vote::True => 1,
+        Vote::False => 0,
+    });
 }
 
 fn encode_mutation(buf: &mut Vec<u8>, m: &Mutation) -> Result<(), ServeError> {
@@ -188,20 +218,13 @@ fn encode_mutation(buf: &mut Vec<u8>, m: &Mutation) -> Result<(), ServeError> {
         Mutation::AddFact { name, label } => {
             buf.push(OP_FACT);
             put_str(buf, name)?;
-            buf.push(match label {
-                None => 0,
-                Some(l) if l.as_bool() => 1,
-                Some(_) => 2,
-            });
+            put_label(buf, *label);
         }
         Mutation::Cast { source, fact, vote } => {
             buf.push(OP_CAST);
             put_str(buf, source)?;
             put_str(buf, fact)?;
-            buf.push(match vote {
-                Vote::True => 1,
-                Vote::False => 0,
-            });
+            put_vote(buf, *vote);
         }
     }
     Ok(())
@@ -215,6 +238,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let slice = self.buf.get(self.pos..end)?;
@@ -234,73 +261,103 @@ impl<'a> Cursor<'a> {
         self.take(8).map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    fn take_str(&mut self) -> Result<String, String> {
+    /// A length-prefixed name, borrowed from the bytes.
+    fn take_str(&mut self) -> Result<&'a str, String> {
         let len = self.take_u32().ok_or("truncated string length")?;
         let bytes = self.take(len as usize).ok_or("truncated string bytes")?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
+        std::str::from_utf8(bytes).map_err(|_| "string is not UTF-8".to_string())
+    }
+
+    fn take_label(&mut self) -> Result<Option<Label>, String> {
+        match self.take_u8().ok_or("truncated label byte")? {
+            0 => Ok(None),
+            1 => Ok(Some(Label::from_bool(true))),
+            2 => Ok(Some(Label::from_bool(false))),
+            other => Err(format!("unknown label byte {other}")),
+        }
+    }
+
+    fn take_vote(&mut self) -> Result<Vote, String> {
+        match self.take_u8().ok_or("truncated vote byte")? {
+            1 => Ok(Vote::True),
+            0 => Ok(Vote::False),
+            other => Err(format!("unknown vote byte {other}")),
+        }
+    }
+
+    /// Fails unless every byte was read.
+    fn finish(&self) -> Result<(), String> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err("trailing bytes in batch payload".into())
+        }
     }
 }
 
 fn decode_mutation(cur: &mut Cursor<'_>) -> Result<Mutation, String> {
     match cur.take_u8().ok_or("truncated op byte")? {
-        OP_SOURCE => Ok(Mutation::AddSource { name: cur.take_str()? }),
+        OP_SOURCE => Ok(Mutation::AddSource { name: cur.take_str()?.to_owned() }),
         OP_FACT => {
-            let name = cur.take_str()?;
-            let label = match cur.take_u8().ok_or("truncated label byte")? {
-                0 => None,
-                1 => Some(Label::from_bool(true)),
-                2 => Some(Label::from_bool(false)),
-                other => return Err(format!("unknown label byte {other}")),
-            };
-            Ok(Mutation::AddFact { name, label })
+            let name = cur.take_str()?.to_owned();
+            Ok(Mutation::AddFact { name, label: cur.take_label()? })
         }
         OP_CAST => {
-            let source = cur.take_str()?;
-            let fact = cur.take_str()?;
-            let vote = match cur.take_u8().ok_or("truncated vote byte")? {
-                1 => Vote::True,
-                0 => Vote::False,
-                other => return Err(format!("unknown vote byte {other}")),
-            };
-            Ok(Mutation::Cast { source, fact, vote })
+            let source = cur.take_str()?.to_owned();
+            let fact = cur.take_str()?.to_owned();
+            Ok(Mutation::Cast { source, fact, vote: cur.take_vote()? })
         }
         other => Err(format!("unknown op byte {other}")),
     }
 }
 
-/// Encodes `batch` as one framed record into `buf` (cleared first).
-fn encode_batch(buf: &mut Vec<u8>, first_seq: u64, batch: &[Mutation]) -> Result<(), ServeError> {
+/// Writes one frame for `first_seq` into `buf` (cleared first):
+/// `payload` appends the records and returns how many it wrote, and the
+/// count, payload length and CRC are patched in after it.
+fn write_frame(
+    buf: &mut Vec<u8>,
+    first_seq: u64,
+    payload: impl FnOnce(&mut Vec<u8>) -> Result<usize, ServeError>,
+) -> Result<(), ServeError> {
     buf.clear();
-    let count = u32::try_from(batch.len()).map_err(|_| ServeError::InvalidMutation {
-        message: "batch exceeds u32::MAX mutations".into(),
-    })?;
     buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&count.to_le_bytes());
+    buf.extend_from_slice(&[0u8; 4]); // count, patched below
     buf.extend_from_slice(&first_seq.to_le_bytes());
     buf.extend_from_slice(&[0u8; 12]); // payload_len + crc, patched below
-    for m in batch {
-        encode_mutation(buf, m)?;
-    }
+    let count = u32::try_from(payload(buf)?).map_err(|_| ServeError::InvalidMutation {
+        message: "frame exceeds u32::MAX records".into(),
+    })?;
     let payload_len = buf.len().checked_sub(HEADER_LEN).and_then(|n| u32::try_from(n).ok()).ok_or(
-        ServeError::InvalidMutation { message: "batch payload exceeds u32::MAX bytes".into() },
+        ServeError::InvalidMutation { message: "frame payload exceeds u32::MAX bytes".into() },
     )?;
+    buf[OFF_COUNT..OFF_SEQ].copy_from_slice(&count.to_le_bytes());
     buf[OFF_LEN..OFF_CRC].copy_from_slice(&payload_len.to_le_bytes());
-    let crc = match buf.get(HEADER_LEN..) {
-        Some(payload) => batch_crc(count, first_seq, payload_len, payload),
-        None => batch_crc(count, first_seq, payload_len, &[]),
-    };
+    let crc = batch_crc(count, first_seq, payload_len, &buf[HEADER_LEN..]);
     buf[OFF_CRC..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     Ok(())
 }
 
-/// One decoded batch record.
-#[derive(Default)]
-struct DecodedBatch {
-    first_seq: u64,
-    mutations: Vec<Mutation>,
+/// Encodes `batch` as one framed record into `buf` (cleared first).
+fn encode_batch(buf: &mut Vec<u8>, first_seq: u64, batch: &[Mutation]) -> Result<(), ServeError> {
+    write_frame(buf, first_seq, |buf| {
+        for m in batch {
+            encode_mutation(buf, m)?;
+        }
+        Ok(batch.len())
+    })
 }
 
-fn decode_batch(cur: &mut Cursor<'_>) -> Result<DecodedBatch, String> {
+/// One frame's header fields and its CRC-checked payload.
+struct Frame<'a> {
+    count: u32,
+    first_seq: u64,
+    payload: &'a [u8],
+}
+
+/// Reads one whole frame at the cursor: magic, header, payload and CRC.
+/// Segments and snapshots share this reader; only the payload's
+/// consumer differs (a batch's mutations, or a snapshot's state).
+fn read_frame<'a>(cur: &mut Cursor<'a>) -> Result<Frame<'a>, String> {
     let magic = cur.take(4).ok_or("truncated frame magic")?;
     if magic != MAGIC {
         return Err("bad frame magic".into());
@@ -313,17 +370,27 @@ fn decode_batch(cur: &mut Cursor<'_>) -> Result<DecodedBatch, String> {
     if batch_crc(count, first_seq, payload_len, payload) != crc {
         return Err("batch crc mismatch".into());
     }
-    let mut pc = Cursor { buf: payload, pos: 0 };
+    Ok(Frame { count, first_seq, payload })
+}
+
+/// One decoded batch record.
+#[derive(Default)]
+struct DecodedBatch {
+    first_seq: u64,
+    mutations: Vec<Mutation>,
+}
+
+fn decode_batch(cur: &mut Cursor<'_>) -> Result<DecodedBatch, String> {
+    let frame = read_frame(cur)?;
+    let mut pc = Cursor::new(frame.payload);
     // Every mutation takes at least one payload byte: a forged count
     // cannot reserve more than the frame actually carries.
-    let mut mutations = Vec::with_capacity((count as usize).min(payload.len()));
-    for _ in 0..count {
+    let mut mutations = Vec::with_capacity((frame.count as usize).min(frame.payload.len()));
+    for _ in 0..frame.count {
         mutations.push(decode_mutation(&mut pc)?);
     }
-    if pc.pos != payload.len() {
-        return Err("trailing bytes in batch payload".into());
-    }
-    Ok(DecodedBatch { first_seq, mutations })
+    pc.finish()?;
+    Ok(DecodedBatch { first_seq: frame.first_seq, mutations })
 }
 
 /// Result of scanning one whole segment.
@@ -339,7 +406,7 @@ struct SegmentScan {
 
 fn decode_segment(bytes: &[u8]) -> SegmentScan {
     let start = Instant::now();
-    let mut cur = Cursor { buf: bytes, pos: 0 };
+    let mut cur = Cursor::new(bytes);
     let mut batches = Vec::new();
     let mut valid_len = 0usize;
     let mut torn = None;
@@ -568,12 +635,28 @@ impl Wal {
         fs: Arc<dyn WalFs>,
         obs: &O,
     ) -> Result<(Self, Recovery), ServeError> {
+        Self::open_from(dir, config, fs, obs, None)
+    }
+
+    /// [`Self::open_with`], given the snapshot a caller has just
+    /// installed in `dir` (see [`replace_with_snapshot`]) as its decoded
+    /// seq and state, so recovery does not read the file back.
+    ///
+    /// # Errors
+    /// I/O failures, snapshot corruption, or non-tail log corruption.
+    pub(crate) fn open_from<O: Observer>(
+        dir: &Path,
+        config: WalConfig,
+        fs: Arc<dyn WalFs>,
+        obs: &O,
+        installed: Option<(u64, DeltaDataset)>,
+    ) -> Result<(Self, Recovery), ServeError> {
         if !O::ENABLED {
-            return Self::open_inner(dir, config, fs, obs);
+            return Self::open_inner(dir, config, fs, obs, installed);
         }
         obs.span_begin(Span::WalReplay, 0);
         let start = Instant::now();
-        let result = Self::open_inner(dir, config, fs, obs);
+        let result = Self::open_inner(dir, config, fs, obs, installed);
         obs.span(Span::WalReplay, saturating_nanos(start));
         let replayed = result.as_ref().map_or(0, |(_, recovery)| recovery.replayed);
         obs.span_end(Span::WalReplay, replayed);
@@ -585,20 +668,16 @@ impl Wal {
         config: WalConfig,
         fs: Arc<dyn WalFs>,
         obs: &O,
+        installed: Option<(u64, DeltaDataset)>,
     ) -> Result<(Self, Recovery), ServeError> {
         fs.create_dir_all(dir)?;
-        let mut dataset = DeltaDataset::new();
-
         let snapshot_path = snapshot_path(dir);
-        let have_snapshot = fs.exists(&snapshot_path);
-        let snapshot_seq = if have_snapshot {
-            let (seq, mutations) = decode_snapshot(&fs.read(&snapshot_path)?)?;
-            dataset.apply_all(&mutations)?;
-            // Snapshot state is the epoch baseline, not pending work.
-            dataset.take_dirty();
-            seq
-        } else {
-            0
+        let have_snapshot = installed.is_some() || fs.exists(&snapshot_path);
+        // The snapshot's state is the epoch baseline: nothing in it is dirty.
+        let (snapshot_seq, mut dataset) = match installed {
+            Some(snapshot) => snapshot,
+            None if have_snapshot => decode_snapshot(&fs.read(&snapshot_path)?)?,
+            None => (0, DeltaDataset::new()),
         };
         // The snapshot's seq comes straight off disk: a corrupt u64::MAX
         // must surface as corruption, not wrap to 0.
@@ -1016,20 +1095,26 @@ impl Wal {
         Ok(true)
     }
 
-    /// Seals the active segment and spawns the background snapshot writer.
+    /// Seals the active segment and spawns the background snapshot writer,
+    /// which encodes and writes a copy-on-write clone of `dataset`: the
+    /// calling thread pays O(facts / chunk + shards) for the clone, and
+    /// later mutations of `dataset` never reach the snapshot.
     fn start_compaction(&mut self, dataset: &DeltaDataset) -> Result<(), ServeError> {
         // Seal first so the snapshot covers exactly the sealed segments;
         // the fresh active segment keeps appending concurrently.
         self.seal_observed(&NOOP)?;
         let snapshot_seq = self.next_seq.saturating_sub(1);
         let covered: Vec<u64> = self.sealed.iter().map(|m| m.id).collect();
-        let snapshot = encode_snapshot(dataset, snapshot_seq)?;
+        let state = dataset.clone();
         let fs = Arc::clone(&self.fs);
         let dir = self.dir.clone();
         let fsync = self.config.fsync;
-        let handle = std::thread::Builder::new()
-            .name("wal-compact".into())
-            .spawn(move || write_snapshot(fs.as_ref(), &dir, &snapshot, fsync))?;
+        let handle = std::thread::Builder::new().name("wal-compact".into()).spawn(move || {
+            let snapshot = encode_snapshot(&state, snapshot_seq)?;
+            // Release the clone's chunks before the write and its fsync.
+            drop(state);
+            write_snapshot(fs.as_ref(), &dir, &snapshot, fsync)
+        })?;
         self.compaction = Some(CompactionTask { handle, snapshot_seq, covered });
         Ok(())
     }
@@ -1099,13 +1184,12 @@ impl Wal {
         if self.active_bytes > 0 {
             let bytes = self.fs.read(&seg_path(&self.dir, self.active_id))?;
             let valid = usize::try_from(self.active_bytes).unwrap_or(bytes.len()).min(bytes.len());
-            let mut cur = Cursor { buf: &bytes[..valid], pos: 0 };
+            let mut cur = Cursor::new(&bytes[..valid]);
             while cur.pos < valid {
                 let start = cur.pos;
-                let Ok(batch) = decode_batch(&mut cur) else { break };
-                let count = batch.mutations.len() as u64;
-                let last = batch.first_seq.saturating_add(count.saturating_sub(1));
-                frames.push((batch.first_seq, last, bytes[start..cur.pos].to_vec()));
+                let Ok(frame) = read_frame(&mut cur) else { break };
+                let last = frame.first_seq.saturating_add(u64::from(frame.count).saturating_sub(1));
+                frames.push((frame.first_seq, last, bytes[start..cur.pos].to_vec()));
             }
         }
         shipper.bootstrap(
@@ -1121,58 +1205,146 @@ impl Wal {
     }
 }
 
-/// The canonical mutation stream of a [`DeltaDataset`]'s current state.
-fn snapshot_mutations(dataset: &DeltaDataset) -> Vec<Mutation> {
-    let mut out = Vec::new();
-    for i in 0..dataset.n_sources() {
-        out.push(Mutation::AddSource {
-            name: dataset.source_name(corroborate_core::ids::SourceId::new(i)).to_string(),
-        });
-    }
-    for i in 0..dataset.n_facts() {
-        let f = corroborate_core::ids::FactId::new(i);
-        out.push(Mutation::AddFact {
-            name: dataset.fact_name(f).to_string(),
-            label: dataset.label(f),
-        });
-    }
-    for i in 0..dataset.n_facts() {
-        let f = corroborate_core::ids::FactId::new(i);
-        for &(s, vote) in dataset.signature(f) {
-            out.push(Mutation::Cast {
-                source: dataset.source_name(corroborate_core::ids::SourceId::new(s)).to_string(),
-                fact: dataset.fact_name(f).to_string(),
-                vote,
-            });
-        }
-    }
-    out
-}
-
-/// Encodes `dataset`'s state as a snapshot covering `seq`: one frame of
-/// [`snapshot_mutations`] with `seq` in the header's `first_seq` field.
+/// Encodes `dataset`'s state as a snapshot covering `seq`, straight from
+/// its columns: one frame with `seq` in the header's `first_seq` field,
+/// holding every source, then every fact with its label, then each
+/// fact's votes as casts in ascending source order.
 fn encode_snapshot(dataset: &DeltaDataset, seq: u64) -> Result<Vec<u8>, ServeError> {
     let mut buf = Vec::new();
-    encode_batch(&mut buf, seq, &snapshot_mutations(dataset))?;
+    write_frame(&mut buf, seq, |buf| {
+        let sources: Vec<&str> = dataset.source_names().collect();
+        for name in &sources {
+            buf.push(OP_SOURCE);
+            put_str(buf, name)?;
+        }
+        for (name, label, _) in dataset.facts() {
+            buf.push(OP_FACT);
+            put_str(buf, name)?;
+            put_label(buf, label);
+        }
+        let mut casts = 0usize;
+        for (name, _, votes) in dataset.facts() {
+            for &(s, vote) in votes {
+                buf.push(OP_CAST);
+                put_str(buf, sources[s])?;
+                put_str(buf, name)?;
+                put_vote(buf, vote);
+            }
+            casts = casts.saturating_add(votes.len());
+        }
+        Ok(sources.len().saturating_add(dataset.n_facts()).saturating_add(casts))
+    })?;
     Ok(buf)
 }
 
-/// Decodes snapshot bytes into the covered sequence and the state's
-/// mutation stream.
+/// Decodes snapshot bytes into the covered sequence and the state, built
+/// straight into its columns with nothing dirty.
 ///
 /// # Errors
 /// [`ServeError::WalCorrupt`] unless `bytes` is exactly one whole frame
-/// with a matching CRC: a snapshot has no valid prefix to fall back to.
-fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<Mutation>), ServeError> {
+/// with a matching CRC (a snapshot has no valid prefix to fall back to)
+/// whose payload is in the canonical order [`encode_snapshot`] writes.
+fn decode_snapshot(bytes: &[u8]) -> Result<(u64, DeltaDataset), ServeError> {
     let corrupt =
         |reason: String| ServeError::WalCorrupt { message: format!("snapshot: {reason}") };
-    let mut cur = Cursor { buf: bytes, pos: 0 };
-    let batch = decode_batch(&mut cur).map_err(corrupt)?;
+    let mut cur = Cursor::new(bytes);
+    let frame = read_frame(&mut cur).map_err(corrupt)?;
     if cur.pos != bytes.len() {
         let extra = bytes.len().saturating_sub(cur.pos);
         return Err(corrupt(format!("{extra} trailing bytes after the frame")));
     }
-    Ok((batch.first_seq, batch.mutations))
+    let state = decode_state(&frame).map_err(corrupt)?;
+    Ok((frame.first_seq, state))
+}
+
+/// What a snapshot record of kind `op` is called in an error.
+fn record_kind(op: u8) -> &'static str {
+    match op {
+        OP_SOURCE => "source",
+        OP_FACT => "fact",
+        _ => "vote",
+    }
+}
+
+/// Builds the state a snapshot frame holds. Each name is registered by
+/// one insert, which also detects a repeat; each fact's votes are
+/// collected and land as one signature. Anything out of the canonical
+/// order is refused: a source after a fact or vote, a fact after a vote,
+/// votes not grouped by ascending fact id, or sources not strictly
+/// ascending inside a fact.
+fn decode_state(frame: &Frame<'_>) -> Result<DeltaDataset, String> {
+    let mut state = DeltaDataset::new();
+    let mut cur = Cursor::new(frame.payload);
+    let mut last_op = OP_SOURCE;
+    // The fact whose votes are being collected, its name, and the votes.
+    let mut voted: Option<(FactId, &str)> = None;
+    let mut votes: Vec<(usize, Vote)> = Vec::new();
+    for _ in 0..frame.count {
+        let op = cur.take_u8().ok_or("truncated op byte")?;
+        if op > OP_CAST {
+            return Err(format!("unknown op byte {op}"));
+        }
+        if op < last_op {
+            return Err(format!("a {} after a {}", record_kind(op), record_kind(last_op)));
+        }
+        last_op = op;
+        match op {
+            OP_SOURCE => {
+                let name = cur.take_str()?;
+                if name.is_empty() {
+                    return Err("empty source name".into());
+                }
+                if !state.push_source(name) {
+                    return Err(format!("repeated source name {name:?}"));
+                }
+            }
+            OP_FACT => {
+                let name = cur.take_str()?;
+                let label = cur.take_label()?;
+                if name.is_empty() {
+                    return Err("empty fact name".into());
+                }
+                if !state.push_fact(name, label) {
+                    return Err(format!("repeated fact name {name:?}"));
+                }
+            }
+            _ => {
+                let source = cur.take_str()?;
+                let fact = cur.take_str()?;
+                let vote = cur.take_vote()?;
+                let s = state
+                    .source_id(source)
+                    .ok_or_else(|| format!("a vote names unregistered source {source:?}"))?
+                    .index();
+                match voted {
+                    Some((_, name)) if name == fact => {
+                        if votes.last().is_some_and(|&(prev, _)| prev >= s) {
+                            return Err(format!("votes on fact {fact:?} out of source order"));
+                        }
+                    }
+                    _ => {
+                        let f = state
+                            .fact_id(fact)
+                            .ok_or_else(|| format!("a vote names unregistered fact {fact:?}"))?;
+                        if let Some((prev, _)) = voted {
+                            if prev >= f {
+                                return Err(format!("votes on fact {fact:?} out of fact order"));
+                            }
+                            state.set_votes(prev, Arc::from(votes.as_slice()));
+                            votes.clear();
+                        }
+                        voted = Some((f, fact));
+                    }
+                }
+                votes.push((s, vote));
+            }
+        }
+    }
+    if let Some((f, _)) = voted {
+        state.set_votes(f, Arc::from(votes.as_slice()));
+    }
+    cur.finish()?;
+    Ok(state)
 }
 
 /// Writes snapshot bytes to `dir` atomically: temp file, optional sync,
@@ -1190,11 +1362,13 @@ fn write_snapshot(fs: &dyn WalFs, dir: &Path, bytes: &[u8], fsync: bool) -> Resu
 }
 
 /// Replaces a log directory's whole history with `snapshot` (or with
-/// nothing) — a replica's full resync. The snapshot is decoded and
-/// CRC-checked first, so a corrupt or truncated one returns an error and
-/// leaves the directory as it was. The manifest is deleted before any
-/// other file, so a crash part-way never leaves a manifest that names a
-/// snapshot which is gone. The installed snapshot is always synced.
+/// nothing) — a replica's full resync — and returns the installed
+/// snapshot's seq and state for [`Wal::open_from`]. The snapshot is
+/// decoded first, so a corrupt, truncated or non-canonical one returns an
+/// error and leaves the directory as it was. The manifest is deleted
+/// before any other file, so a crash part-way never leaves a manifest
+/// that names a snapshot which is gone. The installed snapshot is always
+/// synced.
 ///
 /// # Errors
 /// [`ServeError::WalCorrupt`] for a bad snapshot; filesystem failures.
@@ -1202,10 +1376,8 @@ pub(crate) fn replace_with_snapshot(
     fs: &dyn WalFs,
     dir: &Path,
     snapshot: Option<&[u8]>,
-) -> Result<(), ServeError> {
-    if let Some(bytes) = snapshot {
-        decode_snapshot(bytes)?;
-    }
+) -> Result<Option<(u64, DeltaDataset)>, ServeError> {
+    let installed = snapshot.map(decode_snapshot).transpose()?;
     fs.create_dir_all(dir)?;
     let mut names = fs.list(dir)?;
     names.sort_by_key(|name| name != MANIFEST_FILE);
@@ -1215,7 +1387,7 @@ pub(crate) fn replace_with_snapshot(
     if let Some(bytes) = snapshot {
         write_snapshot(fs, dir, bytes, true)?;
     }
-    Ok(())
+    Ok(installed)
 }
 
 #[cfg(test)]
@@ -1623,9 +1795,15 @@ mod tests {
         let fs = FaultFs::new();
         let dir = PathBuf::from("/replica");
         {
+            // An older snapshot of another history, and a log after it.
             let (mut wal, _) =
                 Wal::open_with(&dir, WalConfig::default(), Arc::new(fs.clone()), &NOOP).unwrap();
-            wal.append(&cast("x", "y", Vote::True)).unwrap();
+            let mut live = DeltaDataset::new();
+            let m = cast("x", "y", Vote::True);
+            wal.append(&m).unwrap();
+            live.apply(&m).unwrap();
+            wal.compact(&live).unwrap();
+            wal.append(&cast("x", "z", Vote::False)).unwrap();
         }
         let before: Vec<(String, Option<Vec<u8>>)> = fs
             .list(&dir)
@@ -1636,7 +1814,9 @@ mod tests {
 
         let mut flipped = good.clone();
         flipped[HEADER_LEN + 3] ^= 0x01;
-        for bad in [&flipped[..], &good[..good.len() - 1]] {
+        // A valid CRC around a payload out of canonical order.
+        let reordered = snapshot_frame(&[add_fact("f1"), add_source("a")]);
+        for bad in [&flipped[..], &good[..good.len() - 1], &reordered[..]] {
             let err = replace_with_snapshot(&fs, &dir, Some(bad)).unwrap_err();
             assert!(matches!(err, ServeError::WalCorrupt { .. }), "{err}");
             let after: Vec<(String, Option<Vec<u8>>)> = fs
@@ -1648,11 +1828,237 @@ mod tests {
             assert_eq!(after, before, "a refused snapshot must leave the directory alone");
         }
 
-        replace_with_snapshot(&fs, &dir, Some(&good)).unwrap();
+        // The state it returns is the fetched snapshot's, and so is the
+        // state a restart reads back from the installed file.
+        let (seq, state) = replace_with_snapshot(&fs, &dir, Some(&good)).unwrap().unwrap();
         assert_eq!(fs.list(&dir).unwrap(), vec![SNAPSHOT_FILE.to_string()]);
-        let (_, rec) = Wal::open_with(&dir, WalConfig::default(), Arc::new(fs), &NOOP).unwrap();
-        assert_eq!(rec.next_seq, 6);
-        assert!(rec.dataset.fact_id("f2").is_some() && rec.dataset.fact_id("y").is_none());
+        let mut want = DeltaDataset::new();
+        want.apply_all(&stream()).unwrap();
+        assert_same_state(&state, &want);
+        let (_, rec) =
+            Wal::open_with(&dir, WalConfig::default(), Arc::new(fs.clone()), &NOOP).unwrap();
+        assert_eq!((seq, rec.next_seq), (5, 6));
+        assert_same_state(&rec.dataset, &want);
+
+        // No snapshot: the directory empties and no state comes back.
+        assert!(replace_with_snapshot(&fs, &dir, None).unwrap().is_none());
+        assert!(fs.list(&dir).unwrap().is_empty());
+    }
+
+    fn add_source(name: &str) -> Mutation {
+        Mutation::AddSource { name: name.into() }
+    }
+
+    fn add_fact(name: &str) -> Mutation {
+        Mutation::AddFact { name: name.into(), label: None }
+    }
+
+    /// A snapshot frame at seq 9 around `mutations`, CRC and all.
+    fn snapshot_frame(mutations: &[Mutation]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_batch(&mut buf, 9, mutations).unwrap();
+        buf
+    }
+
+    /// A snapshot frame at seq 9 around `count` records of raw payload.
+    fn raw_frame(count: usize, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 9, |buf| {
+            buf.extend_from_slice(payload);
+            Ok(count)
+        })
+        .unwrap();
+        buf
+    }
+
+    /// [`snapshot_frame`] with its last payload byte replaced by `byte`.
+    fn with_last_byte(mutations: &[Mutation], byte: u8) -> Vec<u8> {
+        let mut payload = snapshot_frame(mutations).split_off(HEADER_LEN);
+        *payload.last_mut().unwrap() = byte;
+        raw_frame(mutations.len(), &payload)
+    }
+
+    /// Asserts that `got` is `want`'s state: names and ids both ways,
+    /// labels, signatures, vote count, an equal materialization, and
+    /// nothing dirty in `got`.
+    fn assert_same_state(got: &DeltaDataset, want: &DeltaDataset) {
+        use corroborate_core::ids::SourceId;
+        assert_eq!((got.n_sources(), got.n_facts()), (want.n_sources(), want.n_facts()));
+        assert_eq!(got.n_votes(), want.n_votes());
+        for s in (0..want.n_sources()).map(SourceId::new) {
+            assert_eq!(got.source_name(s), want.source_name(s));
+            assert_eq!(got.source_id(want.source_name(s)), Some(s));
+        }
+        for f in (0..want.n_facts()).map(FactId::new) {
+            assert_eq!(got.fact_name(f), want.fact_name(f));
+            assert_eq!(got.fact_id(want.fact_name(f)), Some(f));
+            assert_eq!(got.label(f), want.label(f));
+            assert_eq!(got.signature(f), want.signature(f));
+        }
+        assert_eq!(got.dirty_count(), 0);
+        let (got, want) = (got.materialize().unwrap(), want.materialize().unwrap());
+        assert_eq!(got.votes(), want.votes());
+        assert_eq!(got.ground_truth(), want.ground_truth());
+    }
+
+    #[test]
+    fn a_snapshot_out_of_canonical_order_is_corruption_despite_its_crc() {
+        let t = Vote::True;
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("repeated source name", snapshot_frame(&[add_source("a"), add_source("a")])),
+            (
+                "repeated fact name",
+                snapshot_frame(&[add_source("a"), add_fact("f"), add_fact("f")]),
+            ),
+            ("empty source name", snapshot_frame(&[add_source("")])),
+            ("empty fact name", snapshot_frame(&[add_fact("")])),
+            ("a source after a fact", snapshot_frame(&[add_fact("f"), add_source("a")])),
+            (
+                "a source after a vote",
+                snapshot_frame(&[
+                    add_source("a"),
+                    add_fact("f"),
+                    cast("a", "f", t),
+                    add_source("b"),
+                ]),
+            ),
+            (
+                "a fact after a vote",
+                snapshot_frame(&[add_source("a"), add_fact("f"), cast("a", "f", t), add_fact("g")]),
+            ),
+            (
+                "unregistered source",
+                snapshot_frame(&[add_source("a"), add_fact("f"), cast("b", "f", t)]),
+            ),
+            (
+                "unregistered fact",
+                snapshot_frame(&[add_source("a"), add_fact("f"), cast("a", "g", t)]),
+            ),
+            (
+                "out of fact order",
+                snapshot_frame(&[
+                    add_source("a"),
+                    add_fact("f"),
+                    add_fact("g"),
+                    cast("a", "g", t),
+                    cast("a", "f", t),
+                ]),
+            ),
+            (
+                "out of fact order",
+                snapshot_frame(&[
+                    add_source("a"),
+                    add_source("b"),
+                    add_fact("f"),
+                    add_fact("g"),
+                    cast("a", "f", t),
+                    cast("a", "g", t),
+                    cast("b", "f", t),
+                ]),
+            ),
+            (
+                "out of source order",
+                snapshot_frame(&[
+                    add_source("a"),
+                    add_source("b"),
+                    add_fact("f"),
+                    cast("b", "f", t),
+                    cast("a", "f", t),
+                ]),
+            ),
+            (
+                "out of source order",
+                snapshot_frame(&[
+                    add_source("a"),
+                    add_fact("f"),
+                    cast("a", "f", t),
+                    cast("a", "f", Vote::False),
+                ]),
+            ),
+            ("unknown op byte", raw_frame(1, &[OP_CAST + 1])),
+            ("unknown label byte", with_last_byte(&[add_fact("f")], 3)),
+            (
+                "unknown vote byte",
+                with_last_byte(&[add_source("a"), add_fact("f"), cast("a", "f", t)], 2),
+            ),
+        ];
+        for (reason, bytes) in cases {
+            let err = decode_snapshot(&bytes).expect_err(reason);
+            let message = err.to_string();
+            assert!(matches!(err, ServeError::WalCorrupt { .. }), "{reason}: {message}");
+            assert!(
+                message.contains("snapshot: ") && message.contains(reason),
+                "{reason}: {message}"
+            );
+        }
+        // The canonical order of the same records decodes.
+        let canonical = snapshot_frame(&[
+            add_source("a"),
+            add_source("b"),
+            add_fact("f"),
+            add_fact("g"),
+            cast("a", "f", t),
+            cast("b", "f", t),
+            cast("a", "g", t),
+        ]);
+        let (_, state) = decode_snapshot(&canonical).unwrap();
+        assert_eq!(state.n_votes(), 3);
+    }
+
+    #[test]
+    fn mutations_after_maybe_compact_never_reach_the_snapshot() {
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("/wal");
+        let config = WalConfig { compact_after_records: 600, ..WalConfig::default() };
+        let open = || Wal::open_with(&dir, config, Arc::new(fs.clone()), &NOOP).unwrap();
+        // 300 facts (three column chunks) voted on by four sources.
+        let journalled: Vec<Mutation> = (0..600)
+            .map(|i| {
+                let vote = if i % 3 == 0 { Vote::False } else { Vote::True };
+                cast(&format!("s{}", i % 4), &format!("f{}", i / 2), vote)
+            })
+            .collect();
+        let (mut wal, _) = open();
+        let mut live = DeltaDataset::new();
+        for chunk in journalled.chunks(100) {
+            wal.append_batch(chunk).unwrap();
+            live.apply_all(chunk).unwrap();
+            assert!(!wal.maybe_compact(&live).unwrap());
+        }
+        assert!(wal.compaction_in_flight(), "the 600th record starts a compaction");
+        let mut at_seal = DeltaDataset::new();
+        at_seal.apply_all(&journalled).unwrap();
+
+        // Never journalled: vote flips in chunks the snapshot's clone
+        // shares, a label on an old fact, new votes, facts and sources.
+        for m in [
+            cast("s0", "f0", Vote::True),
+            cast("s1", "f150", Vote::False),
+            cast("s2", "f299", Vote::True),
+            cast("s3", "f1", Vote::True),
+            cast("late", "f200", Vote::False),
+            cast("s0", "fresh", Vote::True),
+            Mutation::AddSource { name: "voteless".into() },
+            Mutation::AddFact { name: "f7".into(), label: Some(Label::True) },
+        ] {
+            live.apply(&m).unwrap();
+        }
+        let mut landed = false;
+        for _ in 0..1000 {
+            landed = wal.maybe_compact(&live).unwrap();
+            if landed {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(landed, "background compaction never landed");
+        assert!(!wal.compaction_in_flight());
+        drop(wal);
+
+        let (_, rec) = open();
+        assert_eq!((rec.replayed, rec.next_seq), (0, 601));
+        assert_same_state(&rec.dataset, &at_seal);
+        assert_eq!(live.n_facts(), at_seal.n_facts() + 1, "the live state moved on");
     }
 
     #[test]
