@@ -5,12 +5,15 @@
 //! Like the lexer this is deliberately *not* a parser — there is no type
 //! information and no AST. Functions are found by scanning for `fn name`,
 //! bodies by brace matching, lock acquisitions by the `.lock()` /
-//! `.read()` / `.write()` shapes (plus helper functions whose signatures
-//! return a `MutexGuard`/`RwLock*Guard`), and guard live ranges by the
+//! `.read()` / `.write()` shapes on a name the workspace declares with a
+//! `Mutex`/`RwLock` type (plus helper functions whose signatures return a
+//! `MutexGuard`/`RwLock*Guard`), and guard live ranges by the
 //! enclosing block of the binding (or the end of the statement for
 //! temporaries). Every consumer rule is heuristic and manifest-suppressible
 //! — a wrong inference is recorded as a reasoned `allow` entry, never
 //! hardcoded around.
+
+use std::collections::BTreeSet;
 
 use crate::lexer::{Token, TokenKind};
 use crate::workspace::{SourceFile, Workspace};
@@ -173,6 +176,9 @@ pub struct Model {
 }
 
 const GUARD_TYPES: &[&str] = &["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"];
+
+/// Types whose `.lock()` / `.read()` / `.write()` acquire.
+const LOCK_TYPES: &[&str] = &["Mutex", "RwLock"];
 
 /// Identifiers that look like calls but are control flow or constructors.
 const NON_CALLEES: &[&str] = &[
@@ -376,9 +382,9 @@ fn scan_fns(src: &SourceFile, file: usize, out: &mut Vec<FnDef>) {
     }
 }
 
-/// Is `tokens[i]` the `.` of a direct acquisition (`.lock()` / `.read()` /
-/// `.write()` with empty parens)?
-fn direct_acquire_at(tokens: &[Token], i: usize) -> bool {
+/// Is `tokens[i]` the `.` of the `.lock()` / `.read()` / `.write()`
+/// shape (empty parens), whatever the receiver?
+fn acquire_shape_at(tokens: &[Token], i: usize) -> bool {
     tokens[i].is_punct(".")
         && tokens
             .get(i + 1)
@@ -387,15 +393,78 @@ fn direct_acquire_at(tokens: &[Token], i: usize) -> bool {
         && tokens.get(i + 3).is_some_and(|t| t.is_punct(")"))
 }
 
+/// Adds every name `src` declares with a lock type to `out`: a field,
+/// parameter, static or binding annotated `name: …` with `Mutex` or
+/// `RwLock` in its type (`&Mutex<…>`, `Arc<RwLock<…>>`, `Vec<Mutex<…>>`),
+/// a struct-literal field initialised with one, or a `let name = …`
+/// whose initializer names one (`Mutex::new(…)`).
+fn scan_lock_names(src: &SourceFile, out: &mut BTreeSet<String>) {
+    let tokens = &src.tokens;
+    for i in 0..tokens.len() {
+        let Some(next) = tokens.get(i + 1) else { break };
+        if tokens[i].kind != TokenKind::Ident {
+            continue;
+        }
+        let after_let = |k: usize| k > 0 && tokens[k - 1].is_ident("let");
+        let bound = next.is_punct("=")
+            && (after_let(i) || (i > 0 && tokens[i - 1].is_ident("mut") && after_let(i - 1)));
+        if !next.is_punct(":") && !bound {
+            continue;
+        }
+        // The type or initializer runs to a `;`, `{` or `}`, or to a `,`,
+        // `=` or closing bracket outside every bracket it opens.
+        let mut depth = 0usize;
+        for t in &tokens[i + 2..] {
+            if t.kind == TokenKind::Ident && LOCK_TYPES.contains(&t.text.as_str()) {
+                out.insert(tokens[i].text.clone());
+                break;
+            }
+            if t.is_punct(";") || t.is_punct("{") || t.is_punct("}") {
+                break;
+            }
+            if t.is_punct("(") || t.is_punct("[") || t.is_punct("<") {
+                depth += 1;
+            } else if t.is_punct(")") || t.is_punct("]") || t.is_punct(">") || t.is_punct(">>") {
+                let closed = if t.is_punct(">>") { 2 } else { 1 };
+                if depth < closed {
+                    break;
+                }
+                depth -= closed;
+            } else if depth == 0 && (t.is_punct(",") || t.is_punct("=")) {
+                break;
+            }
+        }
+    }
+}
+
 /// A builder with the cross-file context body extraction needs.
 struct Extractor<'a> {
     ws: &'a Workspace,
     fns: &'a [FnDef],
     /// Names of functions whose signature returns a guard type.
     guard_fn_names: Vec<String>,
+    /// Names the workspace declares with a lock type.
+    lock_names: BTreeSet<String>,
 }
 
 impl<'a> Extractor<'a> {
+    /// Is `tokens[i]` the `.` of a direct acquisition: the `.lock()` /
+    /// `.read()` / `.write()` shape on a name declared with a lock type,
+    /// or on `self` naming a guard-returning helper (`self.lock()`)? A
+    /// plain type's `.read()` is an ordinary call.
+    fn acquire_at(&self, tokens: &[Token], i: usize) -> bool {
+        if !acquire_shape_at(tokens, i) {
+            return false;
+        }
+        match receiver_field(tokens, i) {
+            Some(receiver) if receiver == "self" => {
+                self.guard_fn_names.iter().any(|n| *n == tokens[i + 1].text)
+            }
+            Some(receiver) => self.lock_names.contains(&receiver),
+            None => false,
+        }
+    }
+
     /// Resolves a callee name from `file`: all same-file definitions win;
     /// otherwise a unique same-crate definition; otherwise a unique
     /// workspace-wide definition; otherwise unresolved (empty).
@@ -459,7 +528,7 @@ impl<'a> Extractor<'a> {
             }
             let tokens = &self.ws.sources[def.file].tokens;
             for i in def.body.0..def.body.1 {
-                if direct_acquire_at(tokens, i) {
+                if self.acquire_at(tokens, i) {
                     if let Some(id) = self.acquire_lock_id(def.file, i, depth) {
                         return Some(id);
                     }
@@ -627,7 +696,7 @@ impl<'a> Extractor<'a> {
                     brace += 1;
                 } else if t.is_punct("}") {
                     brace -= 1;
-                } else if brace == 0 && direct_acquire_at(tokens, k) {
+                } else if brace == 0 && self.acquire_at(tokens, k) {
                     let after = close_paren(tokens, k + 2);
                     acq = Some((k, after, self.acquire_lock_id(def.file, k, 3)));
                     break;
@@ -691,7 +760,7 @@ impl<'a> Extractor<'a> {
             let t = &tokens[i];
             // Direct acquisitions (including those consumed by pass 1 —
             // the acquire list feeds the lock-order graph either way).
-            if direct_acquire_at(tokens, i) {
+            if self.acquire_at(tokens, i) {
                 if let Some(lock) = self.acquire_lock_id(def.file, i, 3) {
                     facts.acquires.push(Acquire { lock: lock.clone(), token: i, line: t.line });
                     if !bound_acquires.contains(&i) {
@@ -727,7 +796,7 @@ impl<'a> Extractor<'a> {
             if !followed_by_paren || (i > 0 && tokens[i - 1].is_ident("fn")) {
                 continue;
             }
-            if i > 0 && direct_acquire_at(tokens, i - 1) {
+            if i > 0 && self.acquire_at(tokens, i - 1) {
                 // The `lock` ident of `.lock()` — already recorded as an
                 // acquisition at the dot, not a call edge.
                 continue;
@@ -835,7 +904,11 @@ pub fn build(ws: &Workspace) -> Model {
     }
     let guard_fn_names: Vec<String> =
         fns.iter().filter(|f| f.returns_guard).map(|f| f.name.clone()).collect();
-    let extractor = Extractor { ws, fns: &fns, guard_fn_names };
+    let mut lock_names = BTreeSet::new();
+    for src in &ws.sources {
+        scan_lock_names(src, &mut lock_names);
+    }
+    let extractor = Extractor { ws, fns: &fns, guard_fn_names, lock_names };
     let facts: Vec<FnFacts> = fns.iter().map(|def| extractor.extract(def)).collect();
     let mut atomics = Vec::new();
     for (file, src) in ws.sources.iter().enumerate() {
@@ -857,7 +930,12 @@ impl Model {
     /// Resolves a callee name from `file` (same-file, then unique
     /// same-crate, then unique workspace-wide), returning fn indices.
     pub fn resolve(&self, ws: &Workspace, file: usize, name: &str) -> Vec<usize> {
-        let extractor = Extractor { ws, fns: &self.fns, guard_fn_names: Vec::new() };
+        let extractor = Extractor {
+            ws,
+            fns: &self.fns,
+            guard_fn_names: Vec::new(),
+            lock_names: BTreeSet::new(),
+        };
         extractor.resolve(file, name)
     }
 }
@@ -905,6 +983,7 @@ mod tests {
     #[test]
     fn direct_acquires_are_qualified_and_self_helpers_resolve() {
         let src = r#"
+            struct ShipLog { inner: Mutex<Inner> }
             impl ShipLog {
                 fn lock(&self) -> MutexGuard<'_, Inner> { self.inner.lock().unwrap() }
                 fn head(&self) -> u64 { self.lock().next_seq }
@@ -914,6 +993,36 @@ mod tests {
         let head = &m.facts[1];
         assert_eq!(head.acquires.len(), 1);
         assert_eq!(head.acquires[0].lock, "ship.inner");
+    }
+
+    #[test]
+    fn a_plain_types_read_is_a_call_not_an_acquisition() {
+        let src = r#"
+            struct TruthRows { bytes: Vec<u8> }
+            impl TruthRows {
+                fn read(&self) -> usize { self.bytes.len() }
+            }
+            struct Shared { state: RwLock<u64> }
+            fn f(rows: &TruthRows, shared: &Shared) -> usize {
+                let n = rows.read();
+                let g = shared.state.read().unwrap();
+                n + *g as usize
+            }
+            fn g() -> u64 {
+                let cell = Arc::new(Mutex::new(0));
+                let v = *cell.lock().unwrap();
+                v
+            }
+        "#;
+        let (_, m) = model_for("crates/core/src/io.rs", src);
+        let facts = |name: &str| &m.facts[m.fns.iter().position(|d| d.name == name).unwrap()];
+        let f = facts("f");
+        let locks: Vec<&str> = f.acquires.iter().map(|a| a.lock.as_str()).collect();
+        assert_eq!(locks, ["io.state"], "rows.read() acquires nothing");
+        assert_eq!(f.guards.len(), 1);
+        assert!(f.calls.iter().any(|c| c.name == "read"), "rows.read() is an ordinary call");
+        let g: Vec<&str> = facts("g").acquires.iter().map(|a| a.lock.as_str()).collect();
+        assert_eq!(g, ["io.cell"], "a `let` built with Mutex::new declares a lock");
     }
 
     #[test]

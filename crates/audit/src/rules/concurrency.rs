@@ -784,6 +784,7 @@ mod tests {
     #[test]
     fn l002_flags_fsync_and_callbacks_under_guard_directly_and_through_calls() {
         let src = r#"
+            struct Log { state: Mutex<State>, clock: Box<dyn Fn() -> u64> }
             impl Log {
                 fn now(&self) -> u64 { (self.clock)() }
                 fn flush_locked(&self, file: &File) {
@@ -930,5 +931,24 @@ mod tests {
         assert!(dot.contains("cluster_serve"));
         assert!(dot.contains("\"pair.a\" -> \"pair.b\""));
         assert!(!dot.contains("color=red"));
+    }
+
+    #[test]
+    fn a_plain_types_read_adds_no_lock_node() {
+        let src = r#"
+            struct TruthRows { bytes: Vec<u8> }
+            impl TruthRows {
+                fn read(&self) -> usize { self.bytes.len() }
+            }
+            fn load(rows: &TruthRows, m: &Mutex<u64>) -> usize {
+                let g = m.lock().unwrap();
+                rows.read() + *g as usize
+            }
+        "#;
+        let g = lock_graph(&ws(&[("crates/core/src/io.rs", src)]));
+        let dot = g.to_dot();
+        assert!(dot.contains("\"io.m\";"), "{dot}");
+        assert!(!dot.contains("io.rows"), "{dot}");
+        assert!(g.edges.is_empty(), "{dot}");
     }
 }

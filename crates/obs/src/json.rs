@@ -3,10 +3,11 @@
 //! The workspace builds offline, so run reports cannot lean on serde; this
 //! module provides the minimal value model the telemetry layer needs: a
 //! [`Json`] tree with a deterministic writer (object keys keep insertion
-//! order, floats use Rust's shortest round-trip formatting) and a strict
-//! recursive-descent [`Json::parse`] used by the CI smoke check to validate
-//! emitted reports.
+//! order, floats use Rust's shortest round-trip formatting), a strict
+//! pull reader ([`JsonReader`]) that steps through a document without
+//! building it, and [`Json::parse`], the tree built on that reader.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value. Objects preserve insertion order so emitted reports are
@@ -233,13 +234,9 @@ impl Json {
     /// error). Numbers without fraction/exponent that fit an `i64` parse as
     /// [`Json::Int`]; everything else numeric as [`Json::Num`].
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing content after JSON document"));
-        }
+        let mut reader = JsonReader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 }
@@ -303,18 +300,51 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document. It steps through objects
+/// ([`begin_object`](Self::begin_object), [`next_key`](Self::next_key))
+/// and arrays ([`begin_array`](Self::begin_array),
+/// [`next_item`](Self::next_item)), hands out strings borrowed from the
+/// input unless they hold escapes, and checks a value it is not asked to
+/// build with [`skip_value`](Self::skip_value). [`Json::parse`] is
+/// [`value`](Self::value) then [`finish`](Self::finish), so every byte
+/// offset and error message is the reader's.
+///
+/// ```
+/// use corroborate_obs::JsonReader;
+///
+/// let mut r = JsonReader::new(r#"{"n": [1, 2], "name": "café"}"#);
+/// r.begin_object().unwrap();
+/// let mut name = None;
+/// while let Some(key) = r.next_key().unwrap() {
+///     match &*key {
+///         "name" => name = Some(r.string().unwrap()),
+///         _ => r.skip_value().unwrap(),
+///     }
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(name.as_deref(), Some("café"));
+/// ```
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Set by `begin_*`: the next `next_key`/`next_item` reads the
+    /// container's first member, with no `,` before it.
+    opened: bool,
 }
 
-impl Parser<'_> {
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self { text, pos: 0, opened: false }
+    }
+
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError { offset: self.pos, message: message.into() }
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -323,12 +353,20 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Skips whitespace and returns the next byte without consuming it:
+    /// at a value, its first byte tells its kind (`{`, `[`, `"`, `t`, …).
+    /// `None` at the end of the input.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -336,151 +374,175 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(format!("unexpected byte '{}'", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Consumes the `{` that opens an object; step through its members
+    /// with [`Self::next_key`].
+    ///
+    /// # Errors
+    /// The next value is not an object.
+    pub fn begin_object(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
-        let mut entries = Vec::new();
+        self.opened = true;
+        Ok(())
+    }
+
+    /// The next key of the innermost open object, leaving the reader at
+    /// its value, which the caller must read or skip before the next
+    /// call; `None` once the object's `}` is consumed.
+    ///
+    /// # Errors
+    /// A syntax error at or before the key's `:`.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
+        if std::mem::take(&mut self.opened) {
+            if self.byte() == Some(b'}') {
+                self.pos += 1;
+                return Ok(None);
+            }
+        } else {
+            match self.byte() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(entries));
+                    return Ok(None);
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
+            self.skip_ws();
         }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
+    /// Consumes the `[` that opens an array; step through its items with
+    /// [`Self::next_item`].
+    ///
+    /// # Errors
+    /// The next value is not an array.
+    pub fn begin_array(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        self.expect(b'[')?;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Whether the innermost open array has another item; if so the
+    /// reader is at it, and the caller must read or skip it before the
+    /// next call. `false` once the array's `]` is consumed.
+    ///
+    /// # Errors
+    /// A syntax error between items.
+    pub fn next_item(&mut self) -> Result<bool, ParseError> {
+        self.skip_ws();
+        if std::mem::take(&mut self.opened) {
+            if self.byte() == Some(b']') {
                 self.pos += 1;
+                return Ok(false);
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
+        } else {
+            match self.byte() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(false);
+                }
+                _ => return Err(self.err("expected ',' or ']' in array")),
+            }
+            self.skip_ws();
+        }
+        Ok(true)
+    }
+
+    /// Reads a string value: borrowed from the input when it holds no
+    /// escape, decoded into an owned copy when it does.
+    ///
+    /// # Errors
+    /// The next value is not a string, or the string is malformed.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.plain_run();
+        if self.byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
+        loop {
+            match self.byte() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(self.err(format!("invalid escape '\\{}'", other as char)))
-                        }
-                    }
+                    self.escape(&mut out)?;
                 }
                 Some(_) => return Err(self.err("unescaped control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
+            let start = self.pos;
+            self.plain_run();
+            out.push_str(&self.text[start..self.pos]);
         }
+    }
+
+    /// Advances over a run of bytes a string holds as they are. It stops
+    /// only at ASCII bytes, so both ends are character boundaries.
+    fn plain_run(&mut self) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Decodes the escape after a consumed `\` onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        let esc = self.byte().ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair.
+                    if self.byte() == Some(b'\\') {
+                        self.pos += 1;
+                        self.expect(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                } else {
+                    hi
+                };
+                out.push(char::from_u32(code).ok_or_else(|| self.err("invalid \\u escape"))?);
+            }
+            other => return Err(self.err(format!("invalid escape '\\{}'", other as char))),
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let slice = self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let s = std::str::from_utf8(slice).map_err(|_| self.err("invalid \\u escape"))?;
@@ -489,13 +551,115 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// Reads the next value into a [`Json`] tree.
+    ///
+    /// # Errors
+    /// The first syntax error in the value.
+    pub fn value(&mut self) -> Result<Json, ParseError> {
+        match self.peek() {
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut entries = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    entries.push((key.into_owned(), value));
+                }
+                Ok(Json::Obj(entries))
+            }
+            _ => self.scalar(),
+        }
+    }
+
+    /// Checks the next value as [`Self::value`] would, without building
+    /// it. Nested containers are tracked on a heap stack, not by
+    /// recursion, so no nesting depth exhausts the thread's stack.
+    ///
+    /// # Errors
+    /// The first syntax error in the value.
+    pub fn skip_value(&mut self) -> Result<(), ParseError> {
+        // The containers open inside the value, innermost last; `true`
+        // marks an object.
+        let mut open: Vec<bool> = Vec::new();
+        loop {
+            match self.peek() {
+                Some(b'{') => {
+                    self.begin_object()?;
+                    open.push(true);
+                }
+                Some(b'[') => {
+                    self.begin_array()?;
+                    open.push(false);
+                }
+                Some(b'"') => {
+                    self.string()?;
+                }
+                _ => {
+                    self.scalar()?;
+                }
+            }
+            // Step to the innermost container's next member, closing
+            // every container that has none.
+            loop {
+                let Some(&object) = open.last() else { return Ok(()) };
+                let more = if object { self.next_key()?.is_some() } else { self.next_item()? };
+                if more {
+                    break;
+                }
+                open.pop();
+            }
+        }
+    }
+
+    /// Checks that only whitespace follows the document.
+    ///
+    /// # Errors
+    /// Trailing content after the document.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing content after JSON document"));
+        }
+        Ok(())
+    }
+
+    /// A literal or a number, or the error for a byte no value starts
+    /// with.
+    fn scalar(&mut self) -> Result<Json, ParseError> {
+        match self.byte() {
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(other) => Err(self.err(format!("unexpected byte '{}'", other as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(format!("expected '{word}'")))
+        }
+    }
+
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.byte() == Some(b'-') {
             self.pos += 1;
         }
         let mut float = false;
-        while let Some(b) = self.peek() {
+        while let Some(b) = self.byte() {
             match b {
                 b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
@@ -505,8 +669,8 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        // Only ASCII bytes were consumed: the slice is whole characters.
+        let text = &self.text[start..self.pos];
         if !float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));

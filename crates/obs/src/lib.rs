@@ -14,7 +14,8 @@
 //!   [`SelectionRecord`], [`IterationRecord`]) — the JSON document bench
 //!   binaries emit behind `--report`, built on a hand-rolled [`Json`] tree
 //!   with both a writer and a strict parser (used by CI to validate emitted
-//!   reports).
+//!   reports). The parser is [`JsonReader`], a pull reader that the serve
+//!   layer also drives directly to read ingest bodies without a tree.
 //! - [`TraceBuffer`] / [`TraceEvent`] — a lock-free seqlock ring of
 //!   hierarchical begin/end/instant events behind the observer's
 //!   `span_begin`/`span_end`/`event` hooks, exported as Chrome trace JSON
@@ -40,7 +41,7 @@ pub mod window;
 
 pub use counters::{Counter, CounterRegistry, MaxGauge};
 pub use histogram::{HistogramSummary, LatencyHistogram};
-pub use json::{Json, ParseError};
+pub use json::{Json, JsonReader, ParseError};
 pub use observer::{NoopObserver, Observer, RecordingObserver, Span, TierTally, NOOP};
 pub use report::{IterationRecord, RoundRecord, RunReport, SelectionRecord};
 pub use trace::{chrome_trace_json, TraceBuffer, TraceEvent, TraceKind, TraceSnapshot};

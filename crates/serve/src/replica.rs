@@ -183,7 +183,7 @@ impl ReplicaCore {
         obs: &O,
         installed: Option<(u64, DeltaDataset)>,
     ) -> Result<(Self, Arc<VerdictView>), ServeError> {
-        let (wal, recovery) = Wal::open_from(dir, wal_config, fs, obs, installed)?;
+        let (wal, recovery) = Wal::open_from(dir, wal_config, fs, obs, installed, None)?;
         let applied_seq = recovery.next_seq.saturating_sub(1);
         let mut engine = EpochEngine::from_recovered(recovery.dataset, epoch_config)?;
         let (view, _) = engine.run_epoch(EpochMode::Full)?;

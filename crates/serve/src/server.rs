@@ -25,6 +25,7 @@
 //! **full** drain epoch before exiting — the published view then equals a
 //! one-shot batch run over everything ever accepted.
 
+use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use corroborate_core::truth::Label;
 use corroborate_core::vote::Vote;
-use corroborate_obs::{Counter, Json, Observer, Span, TraceSnapshot};
+use corroborate_obs::{Counter, Json, JsonReader, Observer, ParseError, Span, TraceSnapshot};
 
 use crate::cluster::{ClusterState, PrimaryStatus, ReplicaStatus};
 use crate::delta::Mutation;
@@ -45,6 +46,7 @@ use crate::queue::IngestQueue;
 use crate::shell::{read_routes, Reply, Routes, Shell, ShellConfig, Shutdown};
 use crate::ship::{ShipLog, TailResponse};
 use crate::wal::{Wal, WalConfig};
+use crate::walfs::StdFs;
 use crate::ServeError;
 
 /// Server tuning.
@@ -245,10 +247,18 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServeError> {
 
     let (mut engine, wal) = match &config.data_dir {
         Some(dir) => {
-            let (mut wal, recovery) = Wal::open_observed(dir, config.wal, metrics.observer())?;
+            // The open seeds the ship log from the segment bytes it
+            // replays, so the active segment is read once.
+            let (wal, recovery) = Wal::open_from(
+                dir,
+                config.wal,
+                Arc::new(StdFs),
+                metrics.observer(),
+                None,
+                Some(Arc::clone(&ship)),
+            )?;
             metrics.observer().add(Counter::WalReplayed, recovery.replayed);
             metrics.observer().add(Counter::SegmentsReplayed, recovery.segments);
-            wal.attach_shipper(Arc::clone(&ship))?;
             (EpochEngine::from_recovered(recovery.dataset, config.epoch)?, Some(wal))
         }
         None => (EpochEngine::new(config.epoch)?, None),
@@ -449,70 +459,176 @@ fn post_heartbeat(shared: &Shared, body: &[u8]) -> Reply {
     }
 }
 
-/// Parses the ingest body:
+/// A section's or an entry's value, or the first schema error in it.
+type Checked<T> = Result<T, &'static str>;
+
+/// Parses the ingest body in one pass, straight into mutations:
 /// `{"sources": ["s", ...], "facts": [{"name": "f", "label": true|false|null}, ...],
 ///   "votes": [{"source": "s", "fact": "f", "vote": "T"|"F"}, ...]}`.
-/// All three sections are optional; order of application is sources,
-/// facts, votes.
+/// All three sections are optional, and the grammar is:
+/// - sections apply sources, then facts, then votes, whatever their
+///   order in the body;
+/// - of duplicate keys, in the body or in an entry, the first wins;
+/// - unknown keys are skipped, but their values must be valid JSON;
+/// - a syntax error anywhere is reported before any schema error;
+/// - schema errors are reported in section order: the first error in
+///   the earliest section that has one.
+///
+/// A body that is not an object holds no mutations. Names borrow from
+/// the body until the mutation takes its own copy.
 fn parse_ingest(body: &[u8]) -> Result<Vec<Mutation>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let root = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let sections = read_sections(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let mut mutations = Vec::new();
-    if let Some(sources) = root.get("sources") {
-        let sources = sources.as_array().ok_or("\"sources\" must be an array")?;
-        for s in sources {
-            let name = s.as_str().ok_or("\"sources\" entries must be strings")?;
-            if name.is_empty() {
-                return Err("empty source name".into());
-            }
-            mutations.push(Mutation::AddSource { name: name.to_string() });
-        }
-    }
-    if let Some(facts) = root.get("facts") {
-        let facts = facts.as_array().ok_or("\"facts\" must be an array")?;
-        for f in facts {
-            let name = f
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("\"facts\" entries need a \"name\" string")?;
-            if name.is_empty() {
-                return Err("empty fact name".into());
-            }
-            let label = match f.get("label") {
-                None | Some(Json::Null) => None,
-                Some(Json::Bool(b)) => Some(Label::from_bool(*b)),
-                Some(_) => return Err("fact \"label\" must be true, false, or null".into()),
-            };
-            mutations.push(Mutation::AddFact { name: name.to_string(), label });
-        }
-    }
-    if let Some(votes) = root.get("votes") {
-        let votes = votes.as_array().ok_or("\"votes\" must be an array")?;
-        for v in votes {
-            let source = v
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or("\"votes\" entries need a \"source\" string")?;
-            let fact = v
-                .get("fact")
-                .and_then(Json::as_str)
-                .ok_or("\"votes\" entries need a \"fact\" string")?;
-            if source.is_empty() || fact.is_empty() {
-                return Err("empty source or fact name in vote".into());
-            }
-            let vote = match v.get("vote").and_then(Json::as_str) {
-                Some("T") => Vote::True,
-                Some("F") => Vote::False,
-                _ => return Err("vote must be \"T\" or \"F\"".into()),
-            };
-            mutations.push(Mutation::Cast {
-                source: source.to_string(),
-                fact: fact.to_string(),
-                vote,
-            });
+    for section in sections.into_iter().flatten() {
+        let section = section.map_err(str::to_string)?;
+        if mutations.is_empty() {
+            mutations = section;
+        } else {
+            mutations.extend(section);
         }
     }
     Ok(mutations)
+}
+
+/// Reads the whole body: the sources, facts and votes sections, in
+/// that order, each `None` when the body has no such key.
+fn read_sections(text: &str) -> Result<[Option<Checked<Vec<Mutation>>>; 3], ParseError> {
+    let mut sections = [None, None, None];
+    let mut r = JsonReader::new(text);
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        r.finish()?;
+        return Ok(sections);
+    }
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        let slot = ["sources", "facts", "votes"].iter().position(|s| *s == key);
+        let Some(i) = slot.filter(|&i| sections[i].is_none()) else {
+            r.skip_value()?;
+            continue;
+        };
+        sections[i] = Some(match i {
+            0 => {
+                section(&mut r, "\"sources\" must be an array", |r| Ok(source_mutation(field(r)?)))?
+            }
+            1 => section(&mut r, "\"facts\" must be an array", |r| {
+                Ok(fact_mutation(entry(r, ["name", "label"])?))
+            })?,
+            _ => section(&mut r, "\"votes\" must be an array", |r| {
+                Ok(vote_mutation(entry(r, ["source", "fact", "vote"])?))
+            })?,
+        });
+    }
+    r.finish()?;
+    Ok(sections)
+}
+
+/// Reads one section: an array whose entries `read` turns into
+/// mutations. After its first schema error the rest of the section is
+/// only checked for syntax.
+fn section<'a>(
+    r: &mut JsonReader<'a>,
+    not_array: &'static str,
+    mut read: impl FnMut(&mut JsonReader<'a>) -> Result<Checked<Mutation>, ParseError>,
+) -> Result<Checked<Vec<Mutation>>, ParseError> {
+    if r.peek() != Some(b'[') {
+        r.skip_value()?;
+        return Ok(Err(not_array));
+    }
+    r.begin_array()?;
+    let mut out = Ok(Vec::new());
+    while r.next_item()? {
+        match &mut out {
+            Ok(mutations) => match read(r)? {
+                Ok(m) => mutations.push(m),
+                Err(e) => out = Err(e),
+            },
+            Err(_) => r.skip_value()?,
+        }
+    }
+    Ok(out)
+}
+
+/// One value, as far as the ingest grammar looks at it.
+enum Field<'a> {
+    Absent,
+    Str(Cow<'a, str>),
+    Null,
+    Bool(bool),
+    Other,
+}
+
+fn field<'a>(r: &mut JsonReader<'a>) -> Result<Field<'a>, ParseError> {
+    Ok(match r.peek() {
+        Some(b'"') => Field::Str(r.string()?),
+        Some(b'n' | b't' | b'f') => match r.value()? {
+            Json::Bool(b) => Field::Bool(b),
+            _ => Field::Null,
+        },
+        _ => {
+            r.skip_value()?;
+            Field::Other
+        }
+    })
+}
+
+/// Reads one entry object: the first value of each of `keys`, every
+/// other member skipped. An entry that is not an object has none.
+fn entry<'a, const N: usize>(
+    r: &mut JsonReader<'a>,
+    keys: [&str; N],
+) -> Result<[Field<'a>; N], ParseError> {
+    let mut fields = std::array::from_fn(|_| Field::Absent);
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        return Ok(fields);
+    }
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match keys.iter().position(|k| *k == key) {
+            Some(i) if matches!(fields[i], Field::Absent) => fields[i] = field(r)?,
+            _ => r.skip_value()?,
+        }
+    }
+    Ok(fields)
+}
+
+fn source_mutation(name: Field<'_>) -> Checked<Mutation> {
+    let Field::Str(name) = name else { return Err("\"sources\" entries must be strings") };
+    if name.is_empty() {
+        return Err("empty source name");
+    }
+    Ok(Mutation::AddSource { name: name.into_owned() })
+}
+
+fn fact_mutation([name, label]: [Field<'_>; 2]) -> Checked<Mutation> {
+    let Field::Str(name) = name else { return Err("\"facts\" entries need a \"name\" string") };
+    if name.is_empty() {
+        return Err("empty fact name");
+    }
+    let label = match label {
+        Field::Absent | Field::Null => None,
+        Field::Bool(b) => Some(Label::from_bool(b)),
+        _ => return Err("fact \"label\" must be true, false, or null"),
+    };
+    Ok(Mutation::AddFact { name: name.into_owned(), label })
+}
+
+fn vote_mutation([source, fact, vote]: [Field<'_>; 3]) -> Checked<Mutation> {
+    let Field::Str(source) = source else {
+        return Err("\"votes\" entries need a \"source\" string");
+    };
+    let Field::Str(fact) = fact else { return Err("\"votes\" entries need a \"fact\" string") };
+    if source.is_empty() || fact.is_empty() {
+        return Err("empty source or fact name in vote");
+    }
+    let vote = match vote {
+        Field::Str(v) if v == "T" => Vote::True,
+        Field::Str(v) if v == "F" => Vote::False,
+        _ => return Err("vote must be \"T\" or \"F\""),
+    };
+    Ok(Mutation::Cast { source: source.into_owned(), fact: fact.into_owned(), vote })
 }
 
 fn post_votes(shared: &Shared, body: &[u8]) -> Reply {
@@ -658,4 +774,378 @@ fn epoch_step(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `parse_ingest` as it was before the one-pass reader: the whole body
+    /// as a `Json` tree, then the sections copied out of it. The reference
+    /// the reader must match, error text for error text.
+    fn parse_ingest_dom(body: &[u8]) -> Result<Vec<Mutation>, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        let root = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+        let mut mutations = Vec::new();
+        if let Some(sources) = root.get("sources") {
+            let sources = sources.as_array().ok_or("\"sources\" must be an array")?;
+            for s in sources {
+                let name = s.as_str().ok_or("\"sources\" entries must be strings")?;
+                if name.is_empty() {
+                    return Err("empty source name".into());
+                }
+                mutations.push(Mutation::AddSource { name: name.to_string() });
+            }
+        }
+        if let Some(facts) = root.get("facts") {
+            let facts = facts.as_array().ok_or("\"facts\" must be an array")?;
+            for f in facts {
+                let name = f
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .ok_or("\"facts\" entries need a \"name\" string")?;
+                if name.is_empty() {
+                    return Err("empty fact name".into());
+                }
+                let label = match f.get("label") {
+                    None | Some(Json::Null) => None,
+                    Some(Json::Bool(b)) => Some(Label::from_bool(*b)),
+                    Some(_) => return Err("fact \"label\" must be true, false, or null".into()),
+                };
+                mutations.push(Mutation::AddFact { name: name.to_string(), label });
+            }
+        }
+        if let Some(votes) = root.get("votes") {
+            let votes = votes.as_array().ok_or("\"votes\" must be an array")?;
+            for v in votes {
+                let source = v
+                    .get("source")
+                    .and_then(Json::as_str)
+                    .ok_or("\"votes\" entries need a \"source\" string")?;
+                let fact = v
+                    .get("fact")
+                    .and_then(Json::as_str)
+                    .ok_or("\"votes\" entries need a \"fact\" string")?;
+                if source.is_empty() || fact.is_empty() {
+                    return Err("empty source or fact name in vote".into());
+                }
+                let vote = match v.get("vote").and_then(Json::as_str) {
+                    Some("T") => Vote::True,
+                    Some("F") => Vote::False,
+                    _ => return Err("vote must be \"T\" or \"F\"".into()),
+                };
+                mutations.push(Mutation::Cast {
+                    source: source.to_string(),
+                    fact: fact.to_string(),
+                    vote,
+                });
+            }
+        }
+        Ok(mutations)
+    }
+
+    /// An entry member: its key, and what writes its value.
+    type Member = (&'static str, fn(&mut Gen));
+
+    /// Body text built piece by piece from one seed.
+    struct Gen {
+        rng: StdRng,
+        out: String,
+    }
+
+    impl Gen {
+        fn pick<'s>(&mut self, items: &[&'s str]) -> &'s str {
+            items[self.rng.gen_range(0..items.len())]
+        }
+
+        /// `p` as a probability.
+        fn odds(&mut self, p: f64) -> bool {
+            self.rng.gen_bool(p)
+        }
+
+        fn ws(&mut self) {
+            if self.odds(0.2) {
+                let ws = self.pick(&[" ", "\n  ", "\t", "\r\n"]);
+                self.out.push_str(ws);
+            }
+        }
+
+        /// A name literal: plain, raw UTF-8, or escaped (quotes,
+        /// backslashes, BMP `\u`, a surrogate pair); now and then empty.
+        fn name(&mut self, prefix: &str) {
+            let body = self.pick(&[
+                "a",
+                "b",
+                "caf\\u00e9",
+                "café",
+                "\\ud83d\\ude00",
+                "\\uD83D\\uDE00 x",
+                "say \\\"hi\\\"",
+                "back\\\\slash",
+                "tab\\t",
+                "\\u0041",
+                "",
+            ]);
+            self.out.push('"');
+            if !body.is_empty() || self.odds(0.5) {
+                self.out.push_str(prefix);
+            }
+            self.out.push_str(body);
+            self.out.push('"');
+        }
+
+        /// Any JSON value, nested up to `depth` levels, for unknown keys
+        /// and wrongly typed fields.
+        fn junk_value(&mut self, depth: u32) {
+            match self.rng.gen_range(0..if depth == 0 { 5 } else { 7 }) {
+                0 => {
+                    let lit = self.pick(&["null", "true", "false"]);
+                    self.out.push_str(lit);
+                }
+                1 => {
+                    let n = self.pick(&["0", "-1.5e3", "42", "99999999999999999999"]);
+                    self.out.push_str(n);
+                }
+                2 | 3 => self.name("j"),
+                4 => self.out.push_str("\"T\""),
+                5 => {
+                    self.out.push('[');
+                    for i in 0..self.rng.gen_range(0..3) {
+                        if i > 0 {
+                            self.out.push(',');
+                        }
+                        self.ws();
+                        self.junk_value(depth - 1);
+                    }
+                    self.out.push(']');
+                }
+                _ => {
+                    self.out.push('{');
+                    for i in 0..self.rng.gen_range(0..3) {
+                        if i > 0 {
+                            self.out.push(',');
+                        }
+                        let key = self.pick(&["\"x\"", "\"name\"", "\"votes\"", "\"k\\u0031\""]);
+                        self.out.push_str(key);
+                        self.out.push(':');
+                        self.ws();
+                        self.junk_value(depth - 1);
+                    }
+                    self.out.push('}');
+                }
+            }
+        }
+
+        /// An entry object with `fields` (key, writer) in random order,
+        /// some repeated with another value (the first must win), some
+        /// dropped, with unknown members mixed in.
+        fn object(&mut self, fields: &[Member]) {
+            let mut members: Vec<usize> = (0..fields.len()).collect();
+            if self.odds(0.05) {
+                members.remove(self.rng.gen_range(0..members.len()));
+            }
+            if self.odds(0.15) {
+                members.push(self.rng.gen_range(0..fields.len()));
+            }
+            if self.odds(0.15) {
+                members.push(usize::MAX);
+            }
+            for i in (1..members.len()).rev() {
+                members.swap(i, self.rng.gen_range(0..=i));
+            }
+            self.out.push('{');
+            for (n, &m) in members.iter().enumerate() {
+                if n > 0 {
+                    self.out.push(',');
+                }
+                self.ws();
+                if m == usize::MAX {
+                    self.out.push_str("\"extra\":");
+                    self.junk_value(2);
+                } else {
+                    let (key, write) = fields[m];
+                    self.out.push('"');
+                    self.out.push_str(key);
+                    self.out.push_str("\":");
+                    self.ws();
+                    if self.odds(0.04) {
+                        self.junk_value(1);
+                    } else {
+                        write(self);
+                    }
+                }
+                self.ws();
+            }
+            self.out.push('}');
+        }
+
+        fn array(&mut self, entry: fn(&mut Gen)) {
+            if self.odds(0.04) {
+                self.junk_value(1);
+                return;
+            }
+            self.out.push('[');
+            for i in 0..self.rng.gen_range(0..4) {
+                if i > 0 {
+                    self.out.push(',');
+                }
+                self.ws();
+                if self.odds(0.03) {
+                    self.junk_value(1);
+                } else {
+                    entry(self);
+                }
+            }
+            self.out.push(']');
+        }
+
+        fn sources(&mut self) {
+            self.array(|g| g.name("s"));
+        }
+
+        fn facts(&mut self) {
+            self.array(|g| {
+                g.object(&[
+                    ("name", |g| g.name("f")),
+                    ("label", |g| {
+                        let label = g.pick(&["true", "false", "null"]);
+                        g.out.push_str(label);
+                    }),
+                ]);
+            });
+        }
+
+        fn votes(&mut self) {
+            self.array(|g| {
+                g.object(&[
+                    ("source", |g| g.name("s")),
+                    ("fact", |g| g.name("f")),
+                    ("vote", |g| {
+                        let vote = g.pick(&["\"T\"", "\"F\"", "\"T\"", "\"F\"", "\"X\""]);
+                        g.out.push_str(vote);
+                    }),
+                ]);
+            });
+        }
+
+        /// A whole body: the sections in random order, some repeated
+        /// (the first must win), unknown keys holding nested values, and
+        /// now and then a root that is not an object.
+        fn body(seed: u64) -> String {
+            let mut g = Gen { rng: StdRng::seed_from_u64(seed), out: String::new() };
+            g.ws();
+            if g.odds(0.03) {
+                g.junk_value(2);
+                return g.out;
+            }
+            let mut keys: Vec<usize> = (0..3).filter(|_| g.odds(0.8)).collect();
+            for _ in 0..g.rng.gen_range(0..3) {
+                keys.push(g.rng.gen_range(0..5));
+            }
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, g.rng.gen_range(0..=i));
+            }
+            g.out.push('{');
+            for (n, &k) in keys.iter().enumerate() {
+                if n > 0 {
+                    g.out.push(',');
+                }
+                g.ws();
+                let key = ["sources", "facts", "votes", "other", "sour\\u0063es"][k];
+                g.out.push('"');
+                g.out.push_str(key);
+                g.out.push_str("\":");
+                g.ws();
+                match k {
+                    0 | 4 => g.sources(),
+                    1 => g.facts(),
+                    2 => g.votes(),
+                    _ => g.junk_value(3),
+                }
+                g.ws();
+            }
+            g.out.push('}');
+            g.ws();
+            g.out
+        }
+    }
+
+    /// `body`, then variants of it: truncated, a byte replaced, junk
+    /// inserted, each at a random byte.
+    fn bodies(seed: u64) -> Vec<Vec<u8>> {
+        let body = Gen::body(seed).into_bytes();
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let mut out = vec![body.clone()];
+        for _ in 0..4 {
+            let at = rng.gen_range(0..=body.len());
+            let mut b = body.clone();
+            match rng.gen_range(0..3) {
+                0 => b.truncate(at),
+                1 if at < b.len() => b[at] = b"\"\\{}[],:0tn \x01\xc3X"[rng.gen_range(0..15)],
+                _ => {
+                    let junk = [&b"x"[..], b",", b"}", b"]", b"\"", b"{\"k\":", b"[1,", b"\\u"];
+                    b.splice(at..at, junk[rng.gen_range(0..junk.len())].iter().copied());
+                }
+            }
+            out.push(b);
+        }
+        out
+    }
+
+    fn assert_same(body: &[u8]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            parse_ingest(body),
+            parse_ingest_dom(body),
+            "body {:?}",
+            String::from_utf8_lossy(body)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn ingest_parse_matches_the_dom_oracle(seed in any::<u64>()) {
+            for body in bodies(seed) {
+                assert_same(&body)?;
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_parse_matches_the_dom_oracle_on_hand_picked_bodies() {
+        for body in [
+            "",
+            "[]",
+            "5",
+            "{}",
+            r#"{"votes":[],"sources":["a"],"facts":[{"name":"f"}]}"#,
+            r#"{"votes":[{"source":"a","fact":"f","vote":"T"}],"sources":["b"]}"#,
+            r#"{"sources":["a"],"sources":5}"#,
+            r#"{"sources":5,"sources":["a"]}"#,
+            r#"{"facts":[{"name":1,"name":"f"}]}"#,
+            r#"{"facts":[{"name":"f","name":1,"label":true,"label":2}]}"#,
+            r#"{"votes":[{"source":"a"}],"sources":[""]}"#,
+            r#"{"sources":[""],"votes":[{"source":"a"}], "x": [1,}"#,
+            r#"{"votes":[{"source":"","fact":"f","vote":"X"}]}"#,
+            r#"{"votes":[{"vote":"F","fact":"f😀","source":"sé"}]}"#,
+            r#"{"sources":["a"]}"#,
+            r#"{"facts":[{"name":"f","label":nul}]}"#,
+            r#"{"other":[[[{"deep":[1,{"k":null}]}]]],"sources":["a"]}"#,
+        ] {
+            assert_same(body.as_bytes()).unwrap();
+        }
+        assert_same(b"{\"sources\":[\"\xff\"]}").unwrap();
+    }
+
+    #[test]
+    fn ingest_skips_deeply_nested_unknown_values_without_recursing() {
+        let depth = 200_000;
+        let body = format!(r#"{{"x":{}{},"sources":["a"]}}"#, "[".repeat(depth), "]".repeat(depth));
+        let mutations = parse_ingest(body.as_bytes()).unwrap();
+        assert_eq!(mutations, vec![Mutation::AddSource { name: "a".into() }]);
+    }
 }

@@ -56,14 +56,16 @@
 //! drives the exact same code over the deterministic fault-injecting
 //! [`crate::walfs::FaultFs`].
 //!
-//! With a [`ShipLog`] attached (see [`Wal::attach_shipper`]) the log also
-//! feeds replication: [`Wal::append_batch`] hands each frame to the
-//! shipper once it is **durable** — right after the write when fsync is
-//! off, right after its fsync otherwise — so a replica can never observe
-//! state a primary crash would roll back. Seals and compactions keep the
-//! shipper's segment index in step with the disk.
+//! With a [`ShipLog`] attached (handed to the open by a primary boot, or
+//! by [`Wal::attach_shipper`]) the log also feeds replication:
+//! [`Wal::append_batch`] hands each frame to the shipper once it is
+//! **durable** — right after the write when fsync is off, right after its
+//! fsync otherwise — so a replica can never observe state a primary crash
+//! would roll back. Seals and compactions keep the shipper's segment index
+//! in step with the disk.
 
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -378,9 +380,12 @@ fn read_frame<'a>(cur: &mut Cursor<'a>) -> Result<Frame<'a>, String> {
 struct DecodedBatch {
     first_seq: u64,
     mutations: Vec<Mutation>,
+    /// The whole frame's bytes in the scanned buffer.
+    frame: Range<usize>,
 }
 
 fn decode_batch(cur: &mut Cursor<'_>) -> Result<DecodedBatch, String> {
+    let start = cur.pos;
     let frame = read_frame(cur)?;
     let mut pc = Cursor::new(frame.payload);
     // Every mutation takes at least one payload byte: a forged count
@@ -390,7 +395,7 @@ fn decode_batch(cur: &mut Cursor<'_>) -> Result<DecodedBatch, String> {
         mutations.push(decode_mutation(&mut pc)?);
     }
     pc.finish()?;
-    Ok(DecodedBatch { first_seq: frame.first_seq, mutations })
+    Ok(DecodedBatch { first_seq: frame.first_seq, mutations, frame: start..cur.pos })
 }
 
 /// Result of scanning one whole segment.
@@ -635,12 +640,15 @@ impl Wal {
         fs: Arc<dyn WalFs>,
         obs: &O,
     ) -> Result<(Self, Recovery), ServeError> {
-        Self::open_from(dir, config, fs, obs, None)
+        Self::open_from(dir, config, fs, obs, None, None)
     }
 
     /// [`Self::open_with`], given the snapshot a caller has just
     /// installed in `dir` (see [`replace_with_snapshot`]) as its decoded
-    /// seq and state, so recovery does not read the file back.
+    /// seq and state, so recovery does not read the file back, and the
+    /// [`ShipLog`] to feed, if any. The ship log is seeded as
+    /// [`Self::attach_shipper`] seeds it, from the active segment's frames
+    /// the replay has already read and checked.
     ///
     /// # Errors
     /// I/O failures, snapshot corruption, or non-tail log corruption.
@@ -650,13 +658,14 @@ impl Wal {
         fs: Arc<dyn WalFs>,
         obs: &O,
         installed: Option<(u64, DeltaDataset)>,
+        shipper: Option<Arc<ShipLog>>,
     ) -> Result<(Self, Recovery), ServeError> {
         if !O::ENABLED {
-            return Self::open_inner(dir, config, fs, obs, installed);
+            return Self::open_inner(dir, config, fs, obs, installed, shipper);
         }
         obs.span_begin(Span::WalReplay, 0);
         let start = Instant::now();
-        let result = Self::open_inner(dir, config, fs, obs, installed);
+        let result = Self::open_inner(dir, config, fs, obs, installed, shipper);
         obs.span(Span::WalReplay, saturating_nanos(start));
         let replayed = result.as_ref().map_or(0, |(_, recovery)| recovery.replayed);
         obs.span_end(Span::WalReplay, replayed);
@@ -669,6 +678,7 @@ impl Wal {
         fs: Arc<dyn WalFs>,
         obs: &O,
         installed: Option<(u64, DeltaDataset)>,
+        shipper: Option<Arc<ShipLog>>,
     ) -> Result<(Self, Recovery), ServeError> {
         fs.create_dir_all(dir)?;
         let snapshot_path = snapshot_path(dir);
@@ -723,6 +733,7 @@ impl Wal {
         let mut replayed = 0u64;
         let mut dropped_torn_tail = false;
         let mut sealed = Vec::new();
+        let mut active_frames = Vec::new();
         let segments = seg_ids.len() as u64;
         let (active_id, active_bytes, active_first_seq, active_last_seq);
         if seg_ids.is_empty() {
@@ -834,10 +845,29 @@ impl Wal {
             }
             active_first_seq = last_seg_first;
             active_last_seq = last_seg_last;
+            if shipper.is_some() {
+                let spans: Vec<(u64, u64, Range<usize>)> = scans[last_pos]
+                    .batches
+                    .iter()
+                    .map(|b| {
+                        let count = b.mutations.len() as u64;
+                        let last = b.first_seq.saturating_add(count.saturating_sub(1));
+                        (b.first_seq, last, b.frame.clone())
+                    })
+                    .collect();
+                // Copy the frames only once the decoded batches are freed,
+                // so the copies do not raise the boot's peak memory.
+                drop(scans);
+                let bytes = &datas[last_pos];
+                active_frames = spans
+                    .into_iter()
+                    .map(|(first, last, frame)| (first, last, bytes[frame].to_vec()))
+                    .collect();
+            }
         }
 
         let active = fs.open_append(&seg_path(dir, active_id))?;
-        let wal = Self {
+        let mut wal = Self {
             dir: dir.to_path_buf(),
             fs,
             config,
@@ -856,6 +886,9 @@ impl Wal {
             compaction: None,
             shipper: None,
         };
+        if let Some(shipper) = shipper {
+            wal.ship_from(shipper, active_frames);
+        }
         let recovery = Recovery { dataset, next_seq, replayed, dropped_torn_tail, segments };
         Ok((wal, recovery))
     }
@@ -1169,13 +1202,15 @@ impl Wal {
         self.snapshot_seq
     }
 
-    /// Attaches a [`ShipLog`] and seeds it from the recovered on-disk
-    /// state: sealed segment metadata, the decoded frames of the active
-    /// segment (all durable — they survived recovery), and the snapshot
-    /// floor. Subsequent appends, seals, and compactions keep the log
-    /// current; with fsync configured an append ships its frame only after
-    /// the frame's fsync succeeds, so replicas never observe state a
-    /// primary crash would roll back.
+    /// Attaches a [`ShipLog`] and seeds it from the on-disk state:
+    /// sealed segment metadata, the frames of the active segment (all
+    /// durable — they survived recovery), and the snapshot floor.
+    /// Subsequent appends, seals, and compactions keep the log current;
+    /// with fsync configured an append ships its frame only after the
+    /// frame's fsync succeeds, so replicas never observe state a primary
+    /// crash would roll back. This reads the active segment back from
+    /// disk; a primary boot instead hands its ship log to the open (see
+    /// [`Self::open_from`]), which seeds it from the bytes it replayed.
     ///
     /// # Errors
     /// I/O failures re-reading the active segment.
@@ -1192,16 +1227,22 @@ impl Wal {
                 frames.push((frame.first_seq, last, bytes[start..cur.pos].to_vec()));
             }
         }
+        self.ship_from(shipper, frames);
+        Ok(())
+    }
+
+    /// Seeds `shipper` with the log's position, its sealed segments and
+    /// `active_frames` (first seq, last seq, frame bytes), and attaches it.
+    fn ship_from(&mut self, shipper: Arc<ShipLog>, active_frames: Vec<(u64, u64, Vec<u8>)>) {
         shipper.bootstrap(
             Arc::clone(&self.fs),
             self.dir.clone(),
             self.snapshot_seq,
             self.next_seq,
             self.sealed.clone(),
-            frames,
+            active_frames,
         );
         self.shipper = Some(shipper);
-        Ok(())
     }
 }
 
@@ -2140,6 +2181,47 @@ mod tests {
             }
             other => panic!("expected frames, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_primary_boot_reads_the_active_segment_once() {
+        let fs = FaultFs::new();
+        let dir = PathBuf::from("/wal");
+        let config = WalConfig { segment_bytes: 256, ..WalConfig::default() };
+        let active = {
+            let (mut wal, _) = Wal::open_with(&dir, config, Arc::new(fs.clone()), &NOOP).unwrap();
+            for i in 0..12 {
+                let (s, f) = (format!("s{i}"), format!("f{i}"));
+                wal.append_batch(&[cast(&s, "f", Vote::True), cast("t", &f, Vote::False)]).unwrap();
+            }
+            assert!(!wal.sealed.is_empty() && wal.active_bytes > 0);
+            seg_path(&dir, wal.active_id)
+        };
+        // A torn tail: the boot must ship only the frames it kept.
+        fs.truncate_raw(&active, fs.len(&active).unwrap() - 3);
+
+        let reads = fs.reads(&active);
+        let booted = Arc::new(ShipLog::new(1 << 20));
+        let fs_arc: Arc<dyn WalFs> = Arc::new(fs.clone());
+        let (wal, rec) =
+            Wal::open_from(&dir, config, fs_arc, &NOOP, None, Some(Arc::clone(&booted))).unwrap();
+        assert!(rec.dropped_torn_tail);
+        assert_eq!(fs.reads(&active), reads + 1, "a primary boot reads the active segment once");
+        drop(wal);
+
+        // The seeded log is the one a shipper attached after the open
+        // builds by reading the segment back.
+        let (mut wal, _) = Wal::open_with(&dir, config, Arc::new(fs.clone()), &NOOP).unwrap();
+        let attached = Arc::new(ShipLog::new(1 << 20));
+        wal.attach_shipper(Arc::clone(&attached)).unwrap();
+        assert_eq!(fs.reads(&active), reads + 3, "an attach after the open reads it back");
+        assert_eq!(booted.index_json(), attached.index_json());
+        assert_eq!(booted.durable_seq(), attached.durable_seq());
+        assert_eq!(booted.floor_seq(), attached.floor_seq());
+        assert_eq!(booted.buffered_bytes(), attached.buffered_bytes());
+        assert!(booted.buffered_bytes() > 0);
+        let floor = booted.floor_seq();
+        assert_eq!(booted.tail_since(floor, u64::MAX), attached.tail_since(floor, u64::MAX));
     }
 
     #[test]

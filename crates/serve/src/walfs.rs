@@ -171,6 +171,8 @@ struct FileState {
     /// `sync_data` calls that reached this file, injected failures
     /// included.
     syncs: u64,
+    /// Whole-file `read` calls that reached this file.
+    reads: u64,
 }
 
 /// Seeded fault plan shared by every handle cloned from one [`FaultFs`].
@@ -296,6 +298,12 @@ impl FaultFs {
         lock(&self.store).files.get(path).map_or(0, |f| f.syncs)
     }
 
+    /// Whole-file `read` calls that reached `path` since it was created
+    /// (0 when missing).
+    pub fn reads(&self, path: &Path) -> u64 {
+        lock(&self.store).files.get(path).map_or(0, |f| f.reads)
+    }
+
     /// Truncates `path` to `len` without going through the fault plan, for
     /// tests that build a crash scene byte-by-byte.
     pub fn truncate_raw(&self, path: &Path, len: usize) {
@@ -381,12 +389,13 @@ impl WalFs for FaultFs {
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let store = lock(&self.store);
+        let mut store = lock(&self.store);
         if store.plan.crashed {
             return Err(crashed_err());
         }
-        let file = store.files.get(path).ok_or_else(|| missing_err(path))?;
         let cap = store.plan.short_reads.get(path).copied().unwrap_or(usize::MAX);
+        let file = store.files.get_mut(path).ok_or_else(|| missing_err(path))?;
+        file.reads = file.reads.saturating_add(1);
         Ok(file.data.get(..cap.min(file.data.len())).unwrap_or(&file.data).to_vec())
     }
 

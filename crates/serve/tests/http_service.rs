@@ -16,17 +16,19 @@ fn request_raw(
     addr: std::net::SocketAddr,
     method: &str,
     path: &str,
-    body: &str,
+    body: impl AsRef<[u8]>,
 ) -> (u16, String, String) {
+    let body = body.as_ref();
     let stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut writer = stream.try_clone().unwrap();
     write!(
         writer,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
         body.len()
     )
     .unwrap();
+    writer.write_all(body).unwrap();
     writer.flush().unwrap();
 
     let mut reader = BufReader::new(stream);
@@ -56,7 +58,12 @@ fn request_raw(
 }
 
 /// [`request_raw`] with the body parsed as JSON.
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {
+fn request(
+    addr: std::net::SocketAddr,
+    method: &str,
+    path: &str,
+    body: impl AsRef<[u8]>,
+) -> (u16, Json) {
     let (status, body, _) = request_raw(addr, method, path, body);
     (status, Json::parse(&body).unwrap())
 }
@@ -129,20 +136,76 @@ fn ingest_then_query_roundtrip() {
     handle.shutdown().unwrap();
 }
 
+/// Percent-encodes every byte of `name` outside the URL-unreserved set.
+fn percent_encode(name: &str) -> String {
+    name.bytes()
+        .map(|b| match b {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
+                (b as char).to_string()
+            }
+            _ => format!("%{b:02X}"),
+        })
+        .collect()
+}
+
 #[test]
 fn malformed_requests_get_4xx() {
     let handle = start(test_config()).unwrap();
     let addr = handle.addr();
 
-    let (status, _) = request(addr, "POST", "/v1/votes", "this is not json");
-    assert_eq!(status, 400);
-    let (status, _) = request(addr, "POST", "/v1/votes", r#"{"votes":[{"source":"a"}]}"#);
-    assert_eq!(status, 400);
+    // Each rejected ingest body answers 400 with its exact error text.
+    let rejected: [(&[u8], &str); 12] = [
+        (b"{\"sources\":[\"\xff\"]}", "body is not UTF-8"),
+        (b"this is not json", "invalid JSON: JSON parse error at byte 0: expected 'true'"),
+        (
+            br#"{"votes":[{"source":"a",}]}"#,
+            r#"invalid JSON: JSON parse error at byte 24: expected '"'"#,
+        ),
+        (br#"{"sources":"a"}"#, r#""sources" must be an array"#),
+        (br#"{"sources":["a",1]}"#, r#""sources" entries must be strings"#),
+        (br#"{"sources":["a",""]}"#, "empty source name"),
+        (br#"{"facts":[{"label":true}]}"#, r#""facts" entries need a "name" string"#),
+        (
+            br#"{"facts":[{"name":"f","label":"yes"}]}"#,
+            r#"fact "label" must be true, false, or null"#,
+        ),
+        (br#"{"votes":[{"source":"a"}]}"#, r#""votes" entries need a "fact" string"#),
+        (br#"{"votes":[{"source":"a","fact":"f","vote":"X"}]}"#, r#"vote must be "T" or "F""#),
+        (br#"{"votes":[{"fact":"f","vote":"T"}]}"#, r#""votes" entries need a "source" string"#),
+        (b"{}", "no mutations in request"),
+    ];
+    for (body, error) in rejected {
+        let (status, reply) = request(addr, "POST", "/v1/votes", body);
+        assert_eq!(status, 400, "{}", String::from_utf8_lossy(body));
+        assert_eq!(reply.get("error").and_then(Json::as_str), Some(error));
+    }
+
+    // Escaped names decode on ingest and read back by their decoded text.
+    let (status, reply) = request(
+        addr,
+        "POST",
+        "/v1/votes",
+        r#"{"sources":["say \"hi\""],
+            "facts":[{"name":"back\\slash","label":null}],
+            "votes":[{"source":"say \"hi\"","fact":"back\\slash","vote":"T"},
+                     {"source":"s\u00e9","fact":"caf\u00e9","vote":"F"},
+                     {"source":"say \"hi\"","fact":"grin \ud83d\ude00","vote":"T"}]}"#,
+    );
+    assert_eq!(status, 202, "{}", reply.to_json());
+    assert_eq!(reply.get("accepted").and_then(Json::as_i64), Some(5));
+    for name in ["back\\slash", "caf\u{e9}", "grin \u{1f600}"] {
+        let path = format!("/v1/facts/{}", percent_encode(name));
+        assert!(poll_until(Duration::from_secs(10), || request(addr, "GET", &path, "").0 == 200));
+        let (_, fact) = request(addr, "GET", &path, "");
+        assert_eq!(fact.get("fact").and_then(Json::as_str), Some(name));
+    }
+    let (_, fact) = request(addr, "GET", &format!("/v1/facts/{}", percent_encode("caf\u{e9}")), "");
+    let votes = fact.get("votes").and_then(Json::as_array).unwrap();
+    assert_eq!(votes[0].get("source").and_then(Json::as_str), Some("s\u{e9}"));
     let (status, _) =
-        request(addr, "POST", "/v1/votes", r#"{"votes":[{"source":"a","fact":"f","vote":"X"}]}"#);
-    assert_eq!(status, 400);
-    let (status, _) = request(addr, "POST", "/v1/votes", "{}");
-    assert_eq!(status, 400);
+        request(addr, "GET", &format!("/v1/sources/{}/trust", percent_encode("say \"hi\"")), "");
+    assert_eq!(status, 200);
+
     let (status, _) = request(addr, "GET", "/v1/nope", "");
     assert_eq!(status, 404);
     let (status, _) = request(addr, "DELETE", "/v1/votes", "");
