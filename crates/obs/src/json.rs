@@ -232,7 +232,9 @@ impl Json {
 
     /// Strict parse of a complete JSON document (trailing content is an
     /// error). Numbers without fraction/exponent that fit an `i64` parse as
-    /// [`Json::Int`]; everything else numeric as [`Json::Num`].
+    /// [`Json::Int`]; everything else numeric as [`Json::Num`]. Arrays and
+    /// objects nested more than 128 levels deep are refused (see
+    /// [`JsonReader::value`]).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut reader = JsonReader::new(text);
         let value = reader.value()?;
@@ -282,6 +284,11 @@ fn write_string(out: &mut String, s: &str) {
     }
     out.push('"');
 }
+
+/// Deepest nesting of arrays and objects [`JsonReader::value`] builds.
+/// The builder recurses once per level, so an unbounded depth would let a
+/// small hostile document exhaust the thread's stack.
+const MAX_DEPTH: usize = 128;
 
 /// Parse failure with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -551,18 +558,28 @@ impl<'a> JsonReader<'a> {
         Ok(v)
     }
 
-    /// Reads the next value into a [`Json`] tree.
+    /// Reads the next value into a [`Json`] tree. Arrays and objects
+    /// nested more than 128 levels deep are an error, since the tree is
+    /// built by recursion; [`Self::skip_value`] checks any depth.
     ///
     /// # Errors
-    /// The first syntax error in the value.
+    /// The first syntax error in the value, or its 129th level of nesting.
     pub fn value(&mut self) -> Result<Json, ParseError> {
+        self.value_within(MAX_DEPTH)
+    }
+
+    /// [`Self::value`] with room for `levels` more levels of nesting.
+    fn value_within(&mut self, levels: usize) -> Result<Json, ParseError> {
         match self.peek() {
+            Some(b'[' | b'{') if levels == 0 => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
             Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b'[') => {
                 self.begin_array()?;
                 let mut items = Vec::new();
                 while self.next_item()? {
-                    items.push(self.value()?);
+                    items.push(self.value_within(levels - 1)?);
                 }
                 Ok(Json::Arr(items))
             }
@@ -570,7 +587,7 @@ impl<'a> JsonReader<'a> {
                 self.begin_object()?;
                 let mut entries = Vec::new();
                 while let Some(key) = self.next_key()? {
-                    let value = self.value()?;
+                    let value = self.value_within(levels - 1)?;
                     entries.push((key.into_owned(), value));
                 }
                 Ok(Json::Obj(entries))
@@ -749,6 +766,25 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "01x", "\"unterminated", "{} trailing", "nul"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_deeper_than_128_levels_is_refused_not_recursed_into() {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, 128, "{err}");
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+        let nest = |open: &str, inner: &str, close: &str, levels: usize| {
+            format!("{}{inner}{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(Json::parse(&nest("[", "", "]", 128)).is_ok());
+        assert!(Json::parse(&nest(r#"{"a":"#, "1", "}", 128)).is_ok());
+        assert_eq!(Json::parse(&nest("[", "", "]", 129)).unwrap_err().offset, 128);
+        let over = nest(r#"{"a":"#, "1", "}", 129);
+        assert_eq!(Json::parse(&over).unwrap_err().offset, 128 * 5);
+        // Skipping builds nothing, so it checks any depth.
+        let mut reader = JsonReader::new(&over);
+        reader.skip_value().unwrap();
+        reader.finish().unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! monomorphises to straight-line code: empty inline methods behind an
 //! `if false` the optimiser deletes. [`RecordingObserver`] keeps everything —
 //! counters, span latencies, and per-round / per-iteration records — for a
-//! [`RunReport`].
+//! [`RunReport`](crate::RunReport).
 
 use std::cell::Cell;
 use std::sync::Mutex;

@@ -14,6 +14,8 @@ use std::collections::HashMap;
 use std::ops::Index;
 use std::sync::Arc;
 
+use crate::fnv::Fnv;
+
 /// Elements per [`CowVec`] chunk. A clone copies `len / CHUNK` pointers;
 /// the first write to a shared chunk copies `CHUNK` elements.
 const CHUNK: usize = 128;
@@ -109,10 +111,7 @@ pub(crate) struct CowMap {
 
 /// The shard owning `name`.
 fn shard_of(name: &str) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
+    let hash = Fnv::of(name.as_bytes());
     // FNV's low bits mix poorly on short keys; fold the high half in.
     ((hash ^ (hash >> 32)) as usize) % SHARDS
 }

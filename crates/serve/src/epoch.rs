@@ -47,6 +47,7 @@ use corroborate_core::vote::SourceVote;
 
 use crate::cow::CowVec;
 use crate::delta::{ApplyOutcome, DeltaDataset, Mutation};
+use crate::fnv::Fnv;
 use crate::ServeError;
 
 /// Epoch scheduling configuration.
@@ -219,26 +220,21 @@ impl VerdictView {
 
     /// The O(n) computation behind [`Self::fingerprint`].
     fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(&(self.delta.n_sources() as u64).to_le_bytes());
+        let mut hash = Fnv::new();
+        hash.eat(&(self.delta.n_sources() as u64).to_le_bytes());
         for s in (0..self.delta.n_sources()).map(SourceId::new) {
-            eat(self.delta.source_name(s).as_bytes());
-            eat(&[0]);
-            eat(&self.trust.trust(s).to_bits().to_le_bytes());
+            hash.eat(self.delta.source_name(s).as_bytes());
+            hash.eat(&[0]);
+            hash.eat(&self.trust.trust(s).to_bits().to_le_bytes());
         }
-        eat(&(self.delta.n_facts() as u64).to_le_bytes());
+        hash.eat(&(self.delta.n_facts() as u64).to_le_bytes());
         for (f, p) in (0..self.delta.n_facts()).map(FactId::new).zip(self.probabilities()) {
-            eat(self.delta.fact_name(f).as_bytes());
-            eat(&[0]);
-            eat(&p.to_bits().to_le_bytes());
+            hash.eat(self.delta.fact_name(f).as_bytes());
+            hash.eat(&[0]);
+            hash.eat(&p.to_bits().to_le_bytes());
         }
-        eat(&(self.rounds as u64).to_le_bytes());
-        hash
+        hash.eat(&(self.rounds as u64).to_le_bytes());
+        hash.finish()
     }
 }
 

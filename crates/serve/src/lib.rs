@@ -7,6 +7,8 @@
 //!   dirty tracking; materialises batch-identical [`Dataset`] snapshots.
 //! - `cow` (private) — the chunked copy-on-write column and hash-sharded
 //!   copy-on-write name map that make a [`DeltaDataset`] clone cheap.
+//! - `fnv` (private) — FNV-1a, the one fixed hash behind the WAL's CRCs,
+//!   the name map's shard choice and a view's fingerprint.
 //! - [`wal`] — group-commit, segmented write-ahead log: one framed,
 //!   CRC'd record and one fsync per linger batch, done before the append
 //!   returns; bounded `wal.NNNNNN.seg` segments with a CRC'd manifest,
@@ -59,6 +61,7 @@ mod cow;
 pub mod delta;
 pub mod epoch;
 mod error;
+mod fnv;
 pub mod http;
 pub mod metrics;
 pub mod queue;

@@ -67,6 +67,11 @@ impl Default for ServeMetrics {
     }
 }
 
+/// Elapsed nanoseconds since `start`, saturating at `u64::MAX`.
+pub(crate) fn saturating_nanos(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Converts a nanosecond reading to seconds for gauge rendering.
 fn nanos_to_secs(nanos: u64) -> f64 {
     nanos as f64 / 1e9
@@ -96,7 +101,7 @@ impl ServeMetrics {
     /// Nanoseconds since the metrics clock started — the timestamp domain
     /// the sliding windows and epoch lag use.
     pub fn now_nanos(&self) -> u64 {
-        u64::try_from(self.clock.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        saturating_nanos(self.clock)
     }
 
     /// Records the current queue depth.

@@ -41,7 +41,7 @@ use crate::cluster::{ClusterState, PrimaryStatus, ReplicaStatus};
 use crate::delta::Mutation;
 use crate::epoch::{EpochConfig, EpochEngine, EpochMode, EpochStats, Published, VerdictView};
 use crate::http::{query_param, Request};
-use crate::metrics::{ReplGauges, ServeMetrics};
+use crate::metrics::{saturating_nanos, ReplGauges, ServeMetrics};
 use crate::queue::IngestQueue;
 use crate::shell::{read_routes, Reply, Routes, Shell, ShellConfig, Shutdown};
 use crate::ship::{ShipLog, TailResponse};
@@ -102,11 +102,6 @@ const RETRY_AFTER_SECS: &str = "1";
 const SHIP_TAIL_BUFFER_BYTES: u64 = 4 << 20;
 /// Most framed bytes a single `GET /wal/tail` response carries.
 const TAIL_FETCH_MAX_BYTES: u64 = 1 << 20;
-
-/// Elapsed nanoseconds since `start`, saturating at `u64::MAX`.
-fn saturating_nanos(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
 
 struct Shared {
     queue: IngestQueue,

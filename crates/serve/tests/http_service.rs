@@ -551,6 +551,20 @@ fn keep_alive_serves_multiple_requests_per_connection() {
 }
 
 #[test]
+fn a_deeply_nested_heartbeat_is_a_400_and_the_server_lives_on() {
+    let handle = start(test_config()).unwrap();
+    let addr = handle.addr();
+    // The heartbeat body is parsed into a tree, one recursion per level.
+    let (status, body) = request(addr, "POST", "/cluster/heartbeat", "[".repeat(100_000));
+    assert_eq!(status, 400, "{}", body.to_json());
+    assert_eq!(body.get("error").unwrap().as_str(), Some("invalid JSON"));
+    let (status, health) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn a_trust_path_without_a_source_is_a_404_and_keeps_every_worker() {
     let config = test_config();
     let workers = config.workers;

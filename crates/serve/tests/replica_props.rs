@@ -107,10 +107,11 @@ proptest! {
         // ship(..) → replica_view(..): feed the replica one shipped frame
         // at a time and pace a reference primary through the same acked
         // batches, comparing published fingerprints at every boundary.
-        let replica_fs: Arc<dyn WalFs> = Arc::new(FaultFs::new());
+        let replica_fs = FaultFs::new();
+        let replica_dir = Path::new("/replica");
         let (mut core, initial) = ReplicaCore::recover(
-            Path::new("/replica"),
-            replica_fs,
+            replica_dir,
+            Arc::new(replica_fs.clone()),
             WalConfig::default(),
             EpochConfig::default(),
             &NOOP,
@@ -120,9 +121,11 @@ proptest! {
         prop_assert_eq!(initial.fingerprint(), reference.fingerprint, "empty views diverge");
 
         let mut replica_fp = initial.fingerprint();
+        let mut shipped = Vec::new();
         for window in acks.windows(2) {
             let (lo, hi) = (window[0], window[1]);
             let frame = one_frame(&ship, lo as u64 + 1);
+            shipped.extend_from_slice(&frame);
             let applied = core.apply_shipped(&frame, &NOOP).unwrap();
             prop_assert!(applied.torn.is_none(), "durable frames are never torn");
             prop_assert_eq!(core.applied_seq(), hi as u64);
@@ -137,6 +140,17 @@ proptest! {
                 hi
             );
         }
+
+        // The replica's journal lands on the primary's batch boundaries
+        // byte for byte: its segments hold exactly the shipped frames.
+        let mut names = replica_fs.list(replica_dir).unwrap();
+        names.sort();
+        let journal: Vec<u8> = names
+            .iter()
+            .filter(|name| name.ends_with(".seg"))
+            .flat_map(|name| replica_fs.dump(&replica_dir.join(name)).unwrap())
+            .collect();
+        prop_assert!(journal == shipped, "the replica's journal differs from the shipped frames");
 
         // And the drain points agree too: a full epoch on both sides.
         let drained = core.publish_epoch(EpochMode::Full).unwrap();
