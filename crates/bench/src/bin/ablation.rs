@@ -1,7 +1,7 @@
 //! Quality ablations for the design choices DESIGN.md §6a calls out:
-//! what each knob does to *accuracy* (the criterion `ablation` bench
-//! times the same knobs). Runs on the §6.3.1 synthetic world (8 accurate
-//! + 2 inaccurate) and the restaurant golden set.
+//! what each knob does to *accuracy*. Runs on the §6.3.1 synthetic world
+//! (8 accurate + 2 inaccurate) and the restaurant golden set; the
+//! `ablation` golden pins every cell.
 //!
 //! ```sh
 //! cargo run --release -p corroborate-bench --bin ablation

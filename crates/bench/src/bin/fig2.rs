@@ -43,7 +43,7 @@ fn print_series(rep: &mut Reporter, name: &str, trajectory: &TrustTrajectory, su
     if summary {
         rep.table(&format!("checkpoints_{name}"), &title, &table);
     } else {
-        println!("{title}");
+        rep.say(&title);
         println!("time,{}", SOURCE_NAMES.join(","));
         for (t, snap) in trajectory.iter().enumerate() {
             let values: Vec<String> = snap.values().iter().map(|&v| format!("{v:.4}")).collect();
@@ -67,17 +67,27 @@ fn main() {
     print_series(&mut rep, "IncEstHeu", heu.trajectory().expect("incremental"), summary);
 
     // The paper's qualitative claim for (b): YP and CS become negative
-    // sources at some time point.
+    // sources at some time point. Each one's lowest trust (and its first
+    // time point) shows how near a source that never crosses comes.
     let traj = heu.trajectory().unwrap();
     let mut crossings = Json::object();
+    let mut minima = Json::object();
     for (idx, name) in [(0usize, "YellowPages"), (4usize, "CitySearch")] {
-        let crossing = traj.iter().position(|snap| snap.trust(SourceId::new(idx)) < 0.5);
+        let series: Vec<f64> = traj.iter().map(|snap| snap.trust(SourceId::new(idx))).collect();
+        let crossing = series.iter().position(|&trust| trust < 0.5);
         match crossing {
             Some(t) => rep.say(format!("# {name} drops below 0.5 at t{t} (paper: after t12)")),
             None => rep.say(format!("# {name} never drops below 0.5")),
         }
         crossings.insert(name, crossing);
+        let (t, lowest) =
+            series.into_iter().enumerate().min_by(|a, b| a.1.total_cmp(&b.1)).expect("t0 exists");
+        let mut minimum = Json::object();
+        minimum.insert("t", t);
+        minimum.insert("trust", lowest);
+        minima.insert(name, minimum);
     }
     rep.raw("trust_crossings", crossings);
+    rep.raw("trust_minima", minima);
     rep.finish();
 }

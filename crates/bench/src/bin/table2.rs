@@ -11,11 +11,12 @@ use corroborate_algorithms::galland::TwoEstimates;
 use corroborate_algorithms::inc::{
     FixedSchedule, IncEstHeu, IncEstPS, IncEstimate, IncEstimateConfig,
 };
-use corroborate_bench::{f2, TextTable};
+use corroborate_bench::{f2, Reporter, TextTable};
 use corroborate_core::prelude::*;
 use corroborate_datagen::motivating::motivating_example;
 
 fn main() {
+    let mut rep = Reporter::from_env("table2");
     let ds = motivating_example();
     let mut table =
         TextTable::new(vec!["method", "precision", "recall", "accuracy", "paper P/R/A"]);
@@ -52,15 +53,15 @@ fn main() {
     let ps = IncEstimate::new(IncEstPS).corroborate(&ds).unwrap();
     push("IncEstPS (automatic)", &ps, "—");
 
-    println!("Table 2 — strategies on the motivating example");
-    println!("{}", table.render());
+    rep.table("table2", "Table 2 — strategies on the motivating example", &table);
 
     // The walkthrough's trust-score checkpoints (§2.3 / Figure 1).
     let traj = ours.trajectory().expect("incremental run");
-    println!("walkthrough trust checkpoints (paper: {{-,1,1,0,1}} → {{0,1,1,0,1}} → {{0.67,1,1,0.7,1}}):");
+    rep.say("walkthrough trust checkpoints (paper: {-,1,1,0,1} → {0,1,1,0,1} → {0.67,1,1,0.7,1}):");
     for t in 1..traj.len() {
         let snap = traj.at(t).unwrap();
         let values: Vec<String> = snap.values().iter().map(|v| f2(*v)).collect();
-        println!("  t{t}: [{}]", values.join(", "));
+        rep.say(format!("  t{t}: [{}]", values.join(", ")));
     }
+    rep.finish();
 }

@@ -3,21 +3,23 @@
 //! simulated value* so the calibration of the restaurant world is
 //! auditable.
 
-use corroborate_bench::{f2, TextTable};
+use corroborate_bench::{f2, Reporter, TextTable};
 use corroborate_core::prelude::*;
 use corroborate_datagen::restaurant::{
     generate, RestaurantConfig, SOURCE_NAMES, TARGET_ACCURACY, TARGET_COVERAGE, TARGET_F_VOTES,
 };
 
 fn main() {
+    let mut rep = Reporter::from_env("table3");
     let world = generate(&RestaurantConfig::default()).expect("generation succeeds");
     let ds = &world.dataset;
-    println!(
-        "restaurant world: {} listings, {} votes, {} listings with F votes\n",
+    rep.say(format!(
+        "restaurant world: {} listings, {} votes, {} listings with F votes",
         ds.n_facts(),
         ds.votes().n_votes(),
         ds.facts().filter(|&f| !ds.votes().is_affirmative_only(f)).count()
-    );
+    ));
+    rep.blank();
 
     // Coverage row.
     let mut cov = TextTable::new(vec!["source", "coverage (paper)", "coverage (simulated)"]);
@@ -28,8 +30,7 @@ fn main() {
             f2(ds.source_coverage(SourceId::new(i))),
         ]);
     }
-    println!("Table 3a — source coverage");
-    println!("{}", cov.render());
+    rep.table("coverage", "Table 3a — source coverage", &cov);
 
     // Overlap matrix.
     let mut header: Vec<String> = vec!["overlap".into()];
@@ -42,8 +43,11 @@ fn main() {
         }
         overlap.row(row);
     }
-    println!("Table 3b — source overlap (Jaccard; paper reports e.g. YP–CS 0.43, YP–FS 0.22, OT–* ≤ 0.09)");
-    println!("{}", overlap.render());
+    rep.table(
+        "overlap",
+        "Table 3b — source overlap (Jaccard; paper reports e.g. YP–CS 0.43, YP–FS 0.22, OT–* ≤ 0.09)",
+        &overlap,
+    );
 
     // Accuracy row (over the golden set, as the paper measures it).
     let golden_acc = world.realised_golden_accuracy().expect("ground truth");
@@ -57,8 +61,7 @@ fn main() {
     for (i, name) in SOURCE_NAMES.iter().enumerate() {
         acc.row(vec![name.to_string(), f2(TARGET_ACCURACY[i]), f2(golden_acc[i]), f2(full_acc[i])]);
     }
-    println!("Table 3c — source accuracy");
-    println!("{}", acc.render());
+    rep.table("accuracy", "Table 3c — source accuracy", &acc);
 
     // F-vote counts (§6.2.1: Foursquare 10, Menupages 256, Yelp 425).
     let mut f_counts = vec![0usize; SOURCE_NAMES.len()];
@@ -73,6 +76,6 @@ fn main() {
     for (i, name) in SOURCE_NAMES.iter().enumerate() {
         fv.row(vec![name.to_string(), TARGET_F_VOTES[i].to_string(), f_counts[i].to_string()]);
     }
-    println!("§6.2.1 — F-vote counts");
-    println!("{}", fv.render());
+    rep.table("f_votes", "§6.2.1 — F-vote counts", &fv);
+    rep.finish();
 }

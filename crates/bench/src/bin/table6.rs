@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use corroborate_bench::{corroboration_roster, TextTable};
+use corroborate_bench::{corroboration_roster, Reporter, TextTable};
 use corroborate_datagen::restaurant::{generate, RestaurantConfig};
 use corroborate_ml::eval::evaluate_on_golden;
 use corroborate_ml::logistic::LogisticRegression;
@@ -28,13 +28,15 @@ fn paper_cost(name: &str) -> &'static str {
 }
 
 fn main() {
+    let mut rep = Reporter::from_env("table6");
     let world = generate(&RestaurantConfig::default()).expect("generation succeeds");
     let ds = &world.dataset;
-    println!(
-        "timing over {} listings / {} votes (paper: 36,916 listings, Java on a 2012 quad-core)\n",
+    rep.say(format!(
+        "timing over {} listings / {} votes (paper: 36,916 listings, Java on a 2012 quad-core)",
         ds.n_facts(),
         ds.votes().n_votes()
-    );
+    ));
+    rep.blank();
 
     let mut table = TextTable::new(vec!["method", "time (s)", "paper time (s)"]);
     for alg in corroboration_roster(42) {
@@ -71,7 +73,7 @@ fn main() {
         paper_cost("ML-Logistic").to_string(),
     ]);
 
-    println!("Table 6 — time cost of the algorithms");
-    println!("{}", table.render());
-    println!("note: run with --release; debug-profile timings are not comparable.");
+    rep.table("table6", "Table 6 — time cost of the algorithms", &table);
+    rep.say("note: run with --release; debug-profile timings are not comparable.");
+    rep.finish();
 }

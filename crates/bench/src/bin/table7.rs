@@ -12,20 +12,22 @@ use corroborate_algorithms::baseline::{Counting, Voting};
 use corroborate_algorithms::galland::{Cosine, ThreeEstimates, TwoEstimates};
 use corroborate_algorithms::inc::{IncEstHeu, IncEstPS, IncEstimate};
 use corroborate_algorithms::multi_answer::{DecisionPolicy, MultiAnswer, MultiAnswerConfig};
-use corroborate_bench::TextTable;
+use corroborate_bench::{Reporter, TextTable};
 use corroborate_core::prelude::*;
 use corroborate_datagen::hubdub::{generate, HubdubConfig};
 
 fn main() {
+    let mut rep = Reporter::from_env("table7");
     let world = generate(&HubdubConfig::default()).expect("generation succeeds");
     let ds = &world.dataset;
-    println!(
-        "hubdub-like dataset: {} questions, {} candidate facts, {} users, {} bets\n",
+    rep.say(format!(
+        "hubdub-like dataset: {} questions, {} candidate facts, {} users, {} bets",
         ds.questions().unwrap().n_questions(),
         ds.n_facts(),
         ds.n_sources(),
         ds.votes().n_votes()
-    );
+    ));
+    rep.blank();
 
     let cfg =
         MultiAnswerConfig { expand_implicit_negatives: true, decision: DecisionPolicy::Threshold };
@@ -45,6 +47,6 @@ fn main() {
         let errors = result.confusion(ds).expect("labelled").errors();
         table.row(vec![alg.name().to_string(), errors.to_string(), paper.to_string()]);
     }
-    println!("Table 7 — errors on the Hubdub-like dataset (830 facts)");
-    println!("{}", table.render());
+    rep.table("table7", "Table 7 — errors on the Hubdub-like dataset (830 facts)", &table);
+    rep.finish();
 }

@@ -13,9 +13,19 @@
 //! | `table7` | Hubdub error counts (Table 7) |
 //! | `fig2`   | multi-value trust trajectories (Figure 2) |
 //! | `fig3`   | synthetic accuracy sweeps (Figure 3 a–c) |
+//! | `reviews` | §6.2.1 pre-study: review-metadata classifier |
+//! | `ablation` | accuracy of the DESIGN.md §6a knobs |
+//! | `seeding` | semi-supervised IncEstHeu (beyond the paper) |
+//! | `extras` | every method in the workspace (beyond the paper) |
+//! | `heu_scaling` | the IncEstHeu engine's recorded run, all ΔH modes |
 //!
 //! Every binary prints the paper's reported numbers next to the measured
-//! ones. Criterion micro/macro benches live under `benches/`.
+//! ones through one [`Reporter`], and `--report <path>` writes the same
+//! results as JSON; `tests/golden/` pins each binary's report. Two more
+//! binaries check artifacts rather than produce them: `report_check`
+//! (run reports, Prometheus scrapes, the telemetry catalog) and
+//! `trace_check` (Chrome trace exports). Wall-clock performance is the
+//! ledger's (`ledger/`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -99,25 +109,6 @@ impl TextTable {
                 .collect(),
         )
     }
-
-    /// Renders as comma-separated values (for plotting scripts).
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') {
-                format!("\"{s}\"")
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(&self.header.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with two decimals (the paper's table precision).
@@ -150,13 +141,6 @@ mod tests {
         let s = t.render();
         assert!(s.starts_with("method     accuracy\n"), "{s}");
         assert_eq!(s.lines().count(), 4);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.row(vec!["x,y", "z"]);
-        assert_eq!(t.render_csv(), "a,b\n\"x,y\",z\n");
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl Reporter {
         Self::new(name, path)
     }
 
-    /// Whether a `--report` destination was configured.
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
     /// Prints a narration line and records it under the report's `notes`.
     pub fn say(&mut self, text: impl AsRef<str>) {
         let text = text.as_ref();
@@ -126,7 +121,6 @@ mod tests {
         rep.table("rows", "title", &t);
         rep.metric("speedup", 2.5);
         rep.say("done");
-        assert!(!rep.enabled());
         let rows = rep.report.get("rows").expect("table recorded");
         assert_eq!(rows.to_json(), r#"[{"a":"1","b":"2"}]"#);
     }
