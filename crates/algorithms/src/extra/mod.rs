@@ -1,5 +1,5 @@
 //! Additional truth-discovery baselines from the paper's related work
-//! (§7), used by the ablation benchmarks: [`TruthFinder`] (Yin et al.),
+//! (§7), compared in the `extras` bin: [`TruthFinder`] (Yin et al.),
 //! the Pasternack & Roth family ([`Pasternack`]: `Sums`, `AvgLog`,
 //! `Invest`, `PooledInvest`), and the dependence-aware [`AccuVote`]
 //! (Dong et al.).

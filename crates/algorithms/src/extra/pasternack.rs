@@ -1,7 +1,7 @@
 //! The Pasternack & Roth (COLING 2010) fan of algorithms — **AvgLog**,
 //! **Invest** and **PooledInvest** — cited in the paper's related work
 //! (§7) and implemented here as additional single-trust-score baselines
-//! for the ablation benches.
+//! for the `extras` bin.
 //!
 //! The framework views each vote as a *claim*: a `T` vote claims "`f` is
 //! true", an `F` vote claims "`f` is false"; the two claims about a fact

@@ -1,6 +1,6 @@
 //! TruthFinder (Yin, Han & Yu, KDD 2007 / TKDE 2008) — the pioneering
 //! truth-discovery algorithm from the paper's related work (§7), included
-//! as an additional single-trust-score baseline for the ablation benches.
+//! as an additional single-trust-score baseline for the `extras` bin.
 //!
 //! Sources carry a trustworthiness `t(s)`; the *trust score* of a source is
 //! `τ(s) = −ln(1 − t(s))`, and the confidence of a fact is a logistic

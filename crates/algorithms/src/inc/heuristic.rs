@@ -40,7 +40,7 @@
 //!   prefers borderline groups (their evaluation keeps spillover entropy
 //!   high), mislabels them while source trust is still noisy, drags the
 //!   voting sources below 0.5 and collapses (accuracy well below the
-//!   baselines). It is kept for the ablation benches. Its spillover sum
+//!   baselines). It is kept for the `ablation` bin. Its spillover sum
 //!   used to make it two orders of magnitude slower than the default
 //!   mode; the source→group inverted index restricts each candidate's sum
 //!   to index-adjacent groups, and the bound-pruned scorer below skips

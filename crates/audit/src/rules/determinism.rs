@@ -34,8 +34,10 @@ pub fn in_scope(rel_path: &str) -> bool {
     SCOPE.iter().any(|p| if p.ends_with('/') { rel_path.starts_with(p) } else { rel_path == *p })
 }
 
-/// Identifiers whose presence means hash-order iteration is possible.
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+/// Identifiers whose presence means hash-order iteration is possible: the
+/// std hash tables, and `RandomState`, whose per-process keys order any
+/// table built on it differently on every run.
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "RandomState"];
 
 /// Wall-clock types.
 const CLOCK_TYPES: &[&str] = &["Instant", "SystemTime"];
@@ -119,6 +121,18 @@ mod tests {
         assert!(d.iter().all(|d| d.rule == "D001"));
         assert_eq!(d.len(), 3);
         assert_eq!(d[0].line, 1);
+    }
+
+    #[test]
+    fn a_randomly_keyed_hash_is_flagged_like_a_hash_map() {
+        let d = diags_for(
+            "crates/serve/src/cow.rs",
+            "use std::collections::hash_map::RandomState;\nstruct M { keys: RandomState }",
+        );
+        assert_eq!(
+            d.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
+            [("D001", 1), ("D001", 2)]
+        );
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         id: "D001",
         name: "hash-order-iteration",
-        summary: "no HashMap/HashSet in deterministic fingerprint/report/selection paths \
-                  (iteration order varies run to run; use BTreeMap or sort)",
+        summary: "no HashMap/HashSet/RandomState in deterministic fingerprint/report/selection \
+                  paths (iteration order varies run to run; use BTreeMap or sort)",
         default_severity: Severity::Error,
     },
     RuleInfo {

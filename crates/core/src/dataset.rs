@@ -5,7 +5,7 @@ use crate::error::CoreError;
 use crate::ids::{FactId, SourceId};
 use crate::questions::QuestionStructure;
 use crate::truth::{Label, TruthAssignment};
-use crate::vote::{Vote, VoteMatrix, VoteMatrixBuilder};
+use crate::vote::{SourceVote, Vote, VoteMatrix, VoteMatrixBuilder};
 
 /// Names packed end to end in one string: name `i` is
 /// `text[ends[i - 1]..ends[i]]`, from 0 for the first. A million names are
@@ -89,6 +89,47 @@ pub struct Dataset {
 }
 
 impl Dataset {
+    /// A dataset from names, labels and vote rows already in canonical
+    /// form: `sources` in id order, `facts` in id order with their labels,
+    /// and each fact's votes as [`VoteMatrix::from_fact_rows`] takes them.
+    /// Ground truth attaches only when every fact is labelled, as with
+    /// [`DatasetBuilder::build`].
+    ///
+    /// # Errors
+    /// [`CoreError::LengthMismatch`] unless there is one row per fact, and
+    /// whatever [`VoteMatrix::from_fact_rows`] refuses.
+    pub fn from_fact_rows<'a>(
+        sources: impl IntoIterator<Item = &'a str>,
+        facts: impl IntoIterator<Item = (&'a str, Option<Label>)>,
+        fact_ends: Vec<usize>,
+        by_fact: Vec<SourceVote>,
+    ) -> Result<Dataset, CoreError> {
+        let mut source_names = Names::default();
+        for name in sources {
+            source_names.push(name);
+        }
+        let mut fact_names = Names::default();
+        let mut truth = Vec::with_capacity(fact_ends.len());
+        for (name, label) in facts {
+            fact_names.push(name);
+            truth.push(label);
+        }
+        if truth.len() != fact_ends.len() {
+            return Err(CoreError::LengthMismatch {
+                what: "fact vote rows",
+                expected: truth.len(),
+                actual: fact_ends.len(),
+            });
+        }
+        Ok(Dataset {
+            votes: VoteMatrix::from_fact_rows(source_names.len(), fact_ends, by_fact)?,
+            source_names,
+            fact_names,
+            ground_truth: full_truth(&truth),
+            questions: None,
+        })
+    }
+
     /// Number of sources.
     #[inline]
     pub fn n_sources(&self) -> usize {
@@ -512,11 +553,7 @@ impl DatasetBuilder {
     ///   every fact exactly;
     /// - [`CoreError::InvalidConfig`] if their question ids are not dense.
     pub fn build(self) -> Result<Dataset, CoreError> {
-        let ground_truth = if !self.truth.is_empty() && self.truth.iter().all(Option::is_some) {
-            Some(TruthAssignment::new(self.truth.iter().map(|l| l.unwrap()).collect()))
-        } else {
-            None
-        };
+        let ground_truth = full_truth(&self.truth);
         let questions = match self.question_assignments {
             Some(a) => {
                 if a.len() != self.fact_names.len() {
@@ -538,6 +575,16 @@ impl DatasetBuilder {
             questions,
         })
     }
+}
+
+/// The ground truth `labels` make when every fact has one and there is at
+/// least one fact; `None` otherwise. The labels are collected at their
+/// exact length, in one allocation.
+fn full_truth(labels: &[Option<Label>]) -> Option<TruthAssignment> {
+    if labels.is_empty() || !labels.iter().all(Option::is_some) {
+        return None;
+    }
+    Some(TruthAssignment::new(labels.iter().map(|l| l.unwrap()).collect()))
 }
 
 #[cfg(test)]
@@ -703,6 +750,36 @@ mod tests {
         let d2 = b2.build().unwrap();
         let merged = d1.merge(&d2).unwrap();
         assert!(merged.ground_truth().is_none());
+    }
+
+    #[test]
+    fn fact_rows_rebuild_the_builders_dataset() {
+        let ds = small();
+        let rows = |labels: &mut dyn FnMut(FactId) -> Option<Label>| {
+            let mut ends = Vec::new();
+            let mut by_fact = Vec::new();
+            for f in ds.facts() {
+                by_fact.extend_from_slice(ds.votes().votes_on(f));
+                ends.push(by_fact.len());
+            }
+            let facts: Vec<(&str, Option<Label>)> =
+                ds.facts().map(|f| (ds.fact_name(f), labels(f))).collect();
+            Dataset::from_fact_rows(ds.sources().map(|s| ds.source_name(s)), facts, ends, by_fact)
+        };
+        let truth = ds.ground_truth().unwrap();
+        let back = rows(&mut |f| Some(truth.label(f))).unwrap();
+        assert_eq!(back.votes(), ds.votes());
+        assert_eq!(back.ground_truth(), ds.ground_truth());
+        assert!(ds.sources().all(|s| back.source_name(s) == ds.source_name(s)));
+        assert!(ds.facts().all(|f| back.fact_name(f) == ds.fact_name(f)));
+        // One unlabelled fact drops the ground truth, as in the builder.
+        let partial = rows(&mut |f| (f.index() != 1).then(|| truth.label(f))).unwrap();
+        assert!(partial.ground_truth().is_none());
+
+        let sv = SourceVote { source: SourceId::new(0), vote: Vote::True };
+        let one_row_short =
+            Dataset::from_fact_rows(["a"], [("f0", None), ("f1", None)], vec![1], vec![sv]);
+        assert!(matches!(one_row_short, Err(CoreError::LengthMismatch { .. })));
     }
 
     #[test]

@@ -209,6 +209,52 @@ impl VoteMatrix {
     pub fn signature(&self, fact: FactId) -> &[SourceVote] {
         self.votes_on(fact)
     }
+
+    /// The matrix whose by-fact rows are given: fact `f`'s votes are
+    /// `by_fact[fact_ends[f - 1]..fact_ends[f]]`, from 0 for the first,
+    /// sorted by source with no source twice, as [`Self::votes_on`] returns
+    /// them. Rows that are already in that form skip the builder's sorts:
+    /// only the by-source orientation is built, by the same counting sort
+    /// that ends [`VoteMatrixBuilder::build`].
+    ///
+    /// # Errors
+    /// - [`CoreError::IdOutOfRange`] for a source at or past `n_sources`;
+    /// - [`CoreError::InvalidConfig`] for end offsets that do not step
+    ///   through `by_fact` in order, or a row out of source order.
+    pub fn from_fact_rows(
+        n_sources: usize,
+        fact_ends: Vec<usize>,
+        by_fact: Vec<SourceVote>,
+    ) -> Result<Self, CoreError> {
+        let mut start = 0;
+        for (f, &end) in fact_ends.iter().enumerate() {
+            let row = by_fact.get(start..end).ok_or_else(|| CoreError::InvalidConfig {
+                message: format!(
+                    "fact {f}'s row ends at {end}, outside {start}..={}",
+                    by_fact.len()
+                ),
+            })?;
+            if let Some(sv) = row.iter().find(|sv| sv.source.index() >= n_sources) {
+                return Err(CoreError::IdOutOfRange {
+                    kind: "source",
+                    index: sv.source.index(),
+                    len: n_sources,
+                });
+            }
+            if row.windows(2).any(|w| w[0].source >= w[1].source) {
+                return Err(CoreError::InvalidConfig {
+                    message: format!("fact {f}'s votes are not in strict source order"),
+                });
+            }
+            start = end;
+        }
+        if start != by_fact.len() {
+            return Err(CoreError::InvalidConfig {
+                message: format!("the rows end at {start} of {} votes", by_fact.len()),
+            });
+        }
+        Ok(transpose(n_sources, fact_ends, by_fact))
+    }
 }
 
 /// Builder for [`VoteMatrix`].
@@ -329,6 +375,8 @@ impl VoteMatrixBuilder {
     ///    source (last writer wins);
     /// 3. a counting sort of the rows by source, which visits facts in
     ///    increasing order, so each source's postings come out sorted.
+    ///
+    /// [`VoteMatrix::from_fact_rows`] runs step 3 alone.
     pub fn build(self) -> VoteMatrix {
         let lists = || self.sealed.iter().chain([&self.casts]);
         let mut fact_ends =
@@ -360,22 +408,27 @@ impl VoteMatrixBuilder {
             *end = kept;
         }
         by_fact.truncate(kept);
-
-        let mut source_ends =
-            counting_starts(self.n_sources, by_fact.iter().map(|sv| sv.source.index()));
-        let mut by_source =
-            vec![FactVote { fact: FactId::new(0), vote: Vote::True }; by_fact.len()];
-        let mut start = 0;
-        for (fi, &end) in fact_ends.iter().enumerate() {
-            for sv in &by_fact[start..end] {
-                let slot = &mut source_ends[sv.source.index()];
-                by_source[*slot] = FactVote { fact: FactId::new(fi), vote: sv.vote };
-                *slot += 1;
-            }
-            start = end;
-        }
-        VoteMatrix { fact_ends, by_fact, source_ends, by_source }
+        transpose(self.n_sources, fact_ends, by_fact)
     }
+}
+
+/// The matrix whose by-fact orientation is `fact_ends` and `by_fact`,
+/// with the by-source one built by a counting sort of the rows by source.
+/// It visits facts in increasing order, so each source's postings come
+/// out sorted.
+fn transpose(n_sources: usize, fact_ends: Vec<usize>, by_fact: Vec<SourceVote>) -> VoteMatrix {
+    let mut source_ends = counting_starts(n_sources, by_fact.iter().map(|sv| sv.source.index()));
+    let mut by_source = vec![FactVote { fact: FactId::new(0), vote: Vote::True }; by_fact.len()];
+    let mut start = 0;
+    for (fi, &end) in fact_ends.iter().enumerate() {
+        for sv in &by_fact[start..end] {
+            let slot = &mut source_ends[sv.source.index()];
+            by_source[*slot] = FactVote { fact: FactId::new(fi), vote: sv.vote };
+            *slot += 1;
+        }
+        start = end;
+    }
+    VoteMatrix { fact_ends, by_fact, source_ends, by_source }
 }
 
 /// The first slot of each of `n_rows` rows, for a counting sort of entries
@@ -453,6 +506,36 @@ mod tests {
         assert_eq!(m.votes_by(sid(2)), &[FactVote { fact: fid(0), vote: Vote::True }]);
         assert_eq!(m.vote(sid(1), fid(3)), Some(Vote::True));
         assert_eq!(m.vote(sid(1), fid(0)), None);
+    }
+
+    #[test]
+    fn rows_in_canonical_form_build_the_builders_matrix() {
+        let mut b = VoteMatrixBuilder::new(3, 4);
+        b.cast(sid(2), fid(0), Vote::True).unwrap();
+        b.cast(sid(0), fid(0), Vote::False).unwrap();
+        b.cast(sid(1), fid(3), Vote::True).unwrap();
+        b.cast(sid(1), fid(3), Vote::False).unwrap();
+        let built = b.build();
+        let ends: Vec<usize> = built
+            .facts()
+            .scan(0, |end, f| {
+                *end += built.votes_on(f).len();
+                Some(*end)
+            })
+            .collect();
+        let by_fact: Vec<SourceVote> =
+            built.facts().flat_map(|f| built.votes_on(f).iter().copied()).collect();
+        assert_eq!(VoteMatrix::from_fact_rows(3, ends, by_fact).unwrap(), built);
+
+        let sv = |s: usize| SourceVote { source: sid(s), vote: Vote::True };
+        // A source out of range, a row out of source order, a repeated
+        // source, and ends that leave votes over or run past them.
+        assert!(VoteMatrix::from_fact_rows(2, vec![1], vec![sv(2)]).is_err());
+        assert!(VoteMatrix::from_fact_rows(3, vec![2], vec![sv(1), sv(0)]).is_err());
+        assert!(VoteMatrix::from_fact_rows(3, vec![2], vec![sv(1), sv(1)]).is_err());
+        assert!(VoteMatrix::from_fact_rows(3, vec![1], vec![sv(0), sv(1)]).is_err());
+        assert!(VoteMatrix::from_fact_rows(3, vec![1, 3], vec![sv(0), sv(1)]).is_err());
+        assert!(VoteMatrix::from_fact_rows(3, vec![1, 0], vec![sv(0)]).is_err());
     }
 
     #[test]

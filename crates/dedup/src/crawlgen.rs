@@ -1,6 +1,6 @@
 //! Synthetic crawl generator: produces noisy raw-listing variants of a
 //! known restaurant universe, so the dedup pipeline has realistic work to
-//! do in examples, tests and benches (the paper's crawl yielded 42,969
+//! do in examples and tests (the paper's crawl yielded 42,969
 //! raw listings that deduplicated to 36,916 entities — ≈16% duplication).
 
 use rand::rngs::StdRng;

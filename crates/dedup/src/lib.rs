@@ -12,7 +12,7 @@
 //!   [`Dataset`](corroborate_core::dataset::Dataset) (CLOSED banners
 //!   become `F` votes);
 //! - [`crawlgen`] — a synthetic noisy crawl of a known universe, so the
-//!   pipeline has realistic work in examples and benches.
+//!   pipeline has realistic work in examples.
 //!
 //! ```
 //! use corroborate_dedup::listing::RawListing;

@@ -10,36 +10,95 @@
 //! snapshot (the property the streamed-vs-batch differential gate
 //! certifies).
 //!
-//! The state is copy-on-write: names, labels and signatures live in
-//! chunked columns and the two name maps in hash-sharded maps (see
-//! `cow.rs`), so `clone()` costs O(facts / chunk + shards) and a mutation
-//! after a clone copies at most one chunk or shard per column or map. That
-//! is what lets every epoch publish the state it evaluated as a clone
-//! instead of a materialised [`Dataset`].
+//! The state is flat and copy-on-write by chunk (see `cow.rs`). Sources
+//! and facts are kept 128 to a chunk. A source chunk is one name arena. A
+//! fact chunk is a name arena, a label column, and one postings array of
+//! [`SourceVote`]s with an end offset per fact, the layout
+//! [`VoteMatrix`] keeps for a whole
+//! dataset. The two name → id maps hold ids only and compare names against
+//! the arenas. So registering a name allocates nothing of its own, and a
+//! clone or a drop touches O(chunks + shards) allocations, not O(facts).
+//! A mutation after a clone copies at most one chunk or shard per column
+//! or map. That is what lets every epoch publish the state it evaluated as
+//! a clone instead of a materialised [`Dataset`]. It also lets votes move
+//! in bulk: the snapshot decoder appends each vote to its fact's row in
+//! place, [`Dataset`] conversion builds each chunk whole, and
+//! [`DeltaDataset::materialize`] copies the rows a chunk at a time.
 //!
 //! Ids are append-only: a source or fact, once registered, keeps its id for
 //! the lifetime of the stream, which is what lets epoch evaluation carry
 //! per-fact verdicts forward across snapshots.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::ops::Range;
 
 use corroborate_core::prelude::*;
+use corroborate_core::vote::SourceVote;
 
-use crate::cow::{CowMap, CowVec};
+use crate::cow::{CowChunks, IdMap, CHUNK};
 use crate::ServeError;
 
-/// A fact's vote signature: `(source, vote)` sorted by source id.
-type Signature = Arc<[(usize, Vote)]>;
+/// A chunk-local offset: a chunk's names and votes stay below 2^32 bytes
+/// and entries, as ids stay below 2^32.
+fn offset(len: usize) -> u32 {
+    assert!(len <= u32::MAX as usize, "a chunk holds fewer than 2^32 name bytes or votes");
+    len as u32
+}
 
-/// The one empty signature every newly registered fact starts with,
-/// shared so a registration allocates nothing for it.
-#[derive(Debug, Clone)]
-struct EmptySignature(Signature);
+/// Names end to end in one string: name `i` is `text[ends[i - 1]..ends[i]]`,
+/// from 0 for the first.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    text: String,
+    ends: Vec<u32>,
+}
 
-impl Default for EmptySignature {
-    fn default() -> Self {
-        Self(Arc::from([]))
+impl Arena {
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(offset(self.text.len()));
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.ends.len()).map(|i| self.get(i))
+    }
+}
+
+/// Up to 128 facts: their names, labels and votes.
+#[derive(Debug, Clone, Default)]
+struct FactChunk {
+    names: Arena,
+    labels: Vec<Option<Label>>,
+    /// Every fact's votes end to end, each fact's sorted by source: fact
+    /// `i`'s are `votes[vote_ends[i - 1]..vote_ends[i]]`, from 0 for the
+    /// first. Facts at or past `vote_ends.len()` have none, so a fact
+    /// registers without touching this column.
+    votes: Vec<SourceVote>,
+    vote_ends: Vec<u32>,
+}
+
+impl FactChunk {
+    /// Where fact `i`'s votes sit in `votes`.
+    fn row(&self, i: usize) -> Range<usize> {
+        let end = |i: usize| self.vote_ends.get(i).map_or(self.votes.len(), |&e| e as usize);
+        (if i == 0 { 0 } else { end(i - 1) })..end(i)
+    }
+
+    /// Inserts `vote` into fact `i`'s row at `at`, an index into `votes`
+    /// inside or at the end of the row.
+    fn insert(&mut self, i: usize, at: usize, vote: SourceVote) {
+        if self.vote_ends.len() <= i {
+            self.vote_ends.resize(i + 1, offset(self.votes.len()));
+        }
+        self.votes.insert(at, vote);
+        for end in &mut self.vote_ends[i..] {
+            *end += 1;
+        }
     }
 }
 
@@ -87,14 +146,10 @@ pub struct ApplyOutcome {
 /// The mutable accumulation of a corroboration stream.
 #[derive(Debug, Default, Clone)]
 pub struct DeltaDataset {
-    source_ids: CowMap,
-    source_names: CowVec<Arc<str>>,
-    fact_ids: CowMap,
-    fact_names: CowVec<Arc<str>>,
-    truth: CowVec<Option<Label>>,
-    /// Per-fact signature: `(source, vote)` sorted by source id — exactly
-    /// the shape `VoteMatrix::signature` exposes after a batch build.
-    signatures: CowVec<Signature>,
+    source_ids: IdMap,
+    sources: CowChunks<Arena>,
+    fact_ids: IdMap,
+    facts: CowChunks<FactChunk>,
     /// Facts whose signature changed since the last [`Self::take_dirty`],
     /// in the order they were first dirtied.
     dirty: Vec<usize>,
@@ -102,7 +157,6 @@ pub struct DeltaDataset {
     /// is in `dirty`. Emptied by [`Self::take_dirty`].
     dirty_bits: Vec<u64>,
     n_votes: usize,
-    empty_signature: EmptySignature,
 }
 
 impl DeltaDataset {
@@ -112,28 +166,42 @@ impl DeltaDataset {
     }
 
     /// The clean stream state of a batch [`Dataset`]: the same names,
-    /// labels and votes under the same ids, nothing dirty.
+    /// labels and votes under the same ids, nothing dirty. Each fact chunk
+    /// is filled whole before it joins the state; the fact names are
+    /// registered after the last chunk, in one pass over the dataset's.
     pub(crate) fn from_dataset(dataset: &Dataset) -> Self {
         let mut out = Self::new();
         for s in dataset.sources() {
             out.push_source(dataset.source_name(s));
         }
         let truth = dataset.ground_truth();
-        for f in dataset.facts() {
-            out.push_fact(dataset.fact_name(f), truth.map(|t| t.label(f)));
-            let votes = dataset.votes().votes_on(f);
-            out.set_votes(f, votes.iter().map(|sv| (sv.source.index(), sv.vote)).collect());
+        let name_of = |id: usize| dataset.fact_name(FactId::new(id));
+        let n_facts = dataset.n_facts();
+        for start in (0..n_facts).step_by(CHUNK) {
+            let mut chunk = FactChunk::default();
+            for f in (start..n_facts.min(start + CHUNK)).map(FactId::new) {
+                chunk.names.push(name_of(f.index()));
+                chunk.labels.push(truth.map(|t| t.label(f)));
+                chunk.votes.extend_from_slice(dataset.votes().votes_on(f));
+                chunk.vote_ends.push(offset(chunk.votes.len()));
+            }
+            out.n_votes += chunk.votes.len();
+            let records = chunk.labels.len();
+            out.facts.push_chunk(chunk, records);
+        }
+        for f in 0..n_facts {
+            out.fact_ids.insert(name_of(f), f, name_of);
         }
         out
     }
 
     /// Registers `name` under the next source id, returning whether the
-    /// name was new. A repeat leaves the state unusable (the name then
-    /// maps to the new id): a caller that sees `false` must drop it.
+    /// name was new. A repeat leaves the state unusable (two ids then carry
+    /// the name): a caller that sees `false` must drop it.
     pub(crate) fn push_source(&mut self, name: &str) -> bool {
-        let name: Arc<str> = Arc::from(name);
-        let repeat = self.source_ids.insert(Arc::clone(&name), self.source_names.len());
-        self.source_names.push(name);
+        let sources = &self.sources;
+        let repeat = self.source_ids.insert(name, sources.len(), |id| source_name(sources, id));
+        self.sources.push().push(name);
         repeat.is_none()
     }
 
@@ -141,45 +209,48 @@ impl DeltaDataset {
     /// marking nothing dirty. Returns whether the name was new, as
     /// [`Self::push_source`] does.
     pub(crate) fn push_fact(&mut self, name: &str, label: Option<Label>) -> bool {
-        let name: Arc<str> = Arc::from(name);
-        let repeat = self.fact_ids.insert(Arc::clone(&name), self.fact_names.len());
-        self.fact_names.push(name);
-        self.truth.push(label);
-        self.signatures.push(Arc::clone(&self.empty_signature.0));
+        let facts = &self.facts;
+        let repeat = self.fact_ids.insert(name, facts.len(), |id| fact_name(facts, id));
+        let chunk = self.facts.push();
+        chunk.names.push(name);
+        chunk.labels.push(label);
         repeat.is_none()
     }
 
-    /// Gives `fact`, which has no votes yet, its `votes`: sorted by
-    /// source id, each source registered. Marks nothing dirty.
-    pub(crate) fn set_votes(&mut self, fact: FactId, votes: Signature) {
+    /// Appends `votes` to `fact`'s, marking nothing dirty. The votes must
+    /// be sorted by source and follow any the fact has, and no later fact
+    /// may have votes yet: the order a batch [`Dataset`] and a snapshot
+    /// list them in.
+    pub(crate) fn push_votes(&mut self, fact: FactId, votes: &[SourceVote]) {
+        let (chunk, i) = self.facts.get_mut(fact.index());
+        debug_assert!(chunk.vote_ends.len() <= i + 1, "a later fact has votes");
+        chunk.vote_ends.resize(i + 1, offset(chunk.votes.len()));
+        chunk.votes.extend_from_slice(votes);
+        chunk.vote_ends[i] = offset(chunk.votes.len());
         self.n_votes += votes.len();
-        *self.signatures.get_mut(fact.index()) = votes;
     }
 
     /// Source names in id order.
     pub(crate) fn source_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.source_names.iter().map(|name| &**name)
+        self.sources.chunks().flat_map(Arena::iter)
     }
 
-    /// Facts in id order: name, label and signature.
-    pub(crate) fn facts(
-        &self,
-    ) -> impl Iterator<Item = (&str, Option<Label>, &[(usize, Vote)])> + '_ {
-        self.fact_names
-            .iter()
-            .zip(self.truth.iter())
-            .zip(self.signatures.iter())
-            .map(|((name, label), votes)| (&**name, *label, &**votes))
+    /// Facts in id order: name, label and votes.
+    pub(crate) fn facts(&self) -> impl Iterator<Item = (&str, Option<Label>, &[SourceVote])> + '_ {
+        self.facts.chunks().flat_map(|chunk| {
+            (0..chunk.labels.len())
+                .map(move |i| (chunk.names.get(i), chunk.labels[i], &chunk.votes[chunk.row(i)]))
+        })
     }
 
     /// Number of registered sources.
     pub fn n_sources(&self) -> usize {
-        self.source_names.len()
+        self.sources.len()
     }
 
     /// Number of registered facts.
     pub fn n_facts(&self) -> usize {
-        self.fact_names.len()
+        self.facts.len()
     }
 
     /// Number of live votes (overridden votes count once).
@@ -189,27 +260,43 @@ impl DeltaDataset {
 
     /// Id of `name`, if registered.
     pub fn source_id(&self, name: &str) -> Option<SourceId> {
-        self.source_ids.get(name).map(SourceId::new)
+        self.source_ids.get(name, |id| source_name(&self.sources, id)).map(SourceId::new)
     }
 
     /// Id of `name`, if registered.
     pub fn fact_id(&self, name: &str) -> Option<FactId> {
-        self.fact_ids.get(name).map(FactId::new)
+        self.fact_ids.get(name, |id| fact_name(&self.facts, id)).map(FactId::new)
     }
 
     /// Name of fact `id` (panics when out of range).
     pub fn fact_name(&self, id: FactId) -> &str {
-        &self.fact_names[id.index()]
+        fact_name(&self.facts, id.index())
     }
 
     /// Name of source `id` (panics when out of range).
     pub fn source_name(&self, id: SourceId) -> &str {
-        &self.source_names[id.index()]
+        source_name(&self.sources, id.index())
     }
 
     /// Ground-truth label of fact `id`, when one was supplied.
     pub fn label(&self, id: FactId) -> Option<Label> {
-        self.truth[id.index()]
+        let (chunk, i) = self.facts.get(id.index());
+        chunk.labels[i]
+    }
+
+    /// The current votes on `fact`, sorted by source id: the row
+    /// [`VoteMatrix::votes_on`]
+    /// gives for it once materialised.
+    pub fn votes(&self, fact: FactId) -> &[SourceVote] {
+        let (chunk, i) = self.facts.get(fact.index());
+        &chunk.votes[chunk.row(i)]
+    }
+
+    /// The current signature of `fact` as `(source index, vote)` pairs
+    /// sorted by source id: [`Self::votes`], copied out.
+    #[cfg(test)]
+    pub(crate) fn signature(&self, fact: FactId) -> Vec<(usize, Vote)> {
+        self.votes(fact).iter().map(|sv| (sv.source.index(), sv.vote)).collect()
     }
 
     /// Facts dirtied since the last [`Self::take_dirty`], unordered.
@@ -226,8 +313,8 @@ impl DeltaDataset {
     /// facts: facts sharing a (current) signature re-evaluate as one group,
     /// so this is the unit the epoch scheduler reasons in.
     pub fn dirty_group_count(&self) -> usize {
-        let seen: BTreeSet<&[(usize, Vote)]> =
-            self.dirty.iter().map(|&f| &*self.signatures[f]).collect();
+        let seen: BTreeSet<&[SourceVote]> =
+            self.dirty.iter().map(|&f| self.votes(FactId::new(f))).collect();
         seen.len()
     }
 
@@ -251,22 +338,23 @@ impl DeltaDataset {
     }
 
     fn register_source(&mut self, name: &str) -> (usize, bool) {
-        if let Some(id) = self.source_ids.get(name) {
-            return (id, false);
+        if let Some(id) = self.source_id(name) {
+            return (id.index(), false);
         }
-        let id = self.source_names.len();
+        let id = self.n_sources();
         self.push_source(name);
         (id, true)
     }
 
     fn register_fact(&mut self, name: &str, label: Option<Label>) -> (usize, bool) {
-        if let Some(id) = self.fact_ids.get(name) {
-            if label.is_some() && self.truth[id].is_none() {
-                *self.truth.get_mut(id) = label;
+        if let Some(id) = self.fact_id(name) {
+            if label.is_some() && self.label(id).is_none() {
+                let (chunk, i) = self.facts.get_mut(id.index());
+                chunk.labels[i] = label;
             }
-            return (id, false);
+            return (id.index(), false);
         }
-        let id = self.fact_names.len();
+        let id = self.n_facts();
         self.push_fact(name, label);
         self.mark_dirty(id);
         (id, true)
@@ -306,22 +394,19 @@ impl DeltaDataset {
                 let (f, new_fact) = self.register_fact(fact, None);
                 outcome.new_source = new_source;
                 outcome.new_fact = new_fact;
-                let sig = &self.signatures[f];
-                match sig.binary_search_by_key(&s, |&(src, _)| src) {
+                let cast = SourceVote { source: SourceId::new(s), vote: *vote };
+                let (chunk, i) = self.facts.get(f);
+                let row = chunk.row(i);
+                match chunk.votes[row.clone()].binary_search_by_key(&cast.source, |sv| sv.source) {
                     Ok(pos) => {
-                        if sig[pos].1 != *vote {
-                            Arc::make_mut(self.signatures.get_mut(f))[pos].1 = *vote;
+                        if chunk.votes[row.start + pos].vote != *vote {
+                            let (chunk, _) = self.facts.get_mut(f);
+                            chunk.votes[row.start + pos].vote = *vote;
                             outcome.signature_changed = true;
                         }
                     }
                     Err(pos) => {
-                        let grown: Signature = sig[..pos]
-                            .iter()
-                            .copied()
-                            .chain(std::iter::once((s, *vote)))
-                            .chain(sig[pos..].iter().copied())
-                            .collect();
-                        *self.signatures.get_mut(f) = grown;
+                        self.facts.get_mut(f).0.insert(i, row.start + pos, cast);
                         self.n_votes += 1;
                         outcome.signature_changed = true;
                     }
@@ -355,36 +440,31 @@ impl DeltaDataset {
     /// in registration order, votes per fact in ascending source order —
     /// identical to building the same data through [`DatasetBuilder`] in
     /// one batch. Ground truth attaches only when every fact is labelled,
-    /// exactly like the builder.
+    /// exactly like the builder. The rows are already sorted and free of
+    /// repeats, so they are copied a chunk at a time and only the
+    /// by-source orientation is built
+    /// ([`Dataset::from_fact_rows`]).
     ///
     /// # Errors
-    /// Propagates builder errors (never expected: ids are constructed in
-    /// range by this type).
+    /// Propagates [`Dataset::from_fact_rows`] errors (never expected: the
+    /// rows are kept in the form it checks for).
     pub fn materialize(&self) -> Result<Dataset, ServeError> {
-        let mut b = DatasetBuilder::new();
-        for name in self.source_names.iter() {
-            b.add_source(&**name);
+        let mut fact_ends = Vec::with_capacity(self.n_facts());
+        let mut by_fact = Vec::with_capacity(self.n_votes);
+        for chunk in self.facts.chunks() {
+            let base = by_fact.len();
+            by_fact.extend_from_slice(&chunk.votes);
+            fact_ends.extend(chunk.vote_ends.iter().map(|&end| base + end as usize));
+            fact_ends.resize(
+                fact_ends.len() + chunk.labels.len() - chunk.vote_ends.len(),
+                by_fact.len(),
+            );
         }
-        let fact_ids: Vec<FactId> = self
-            .fact_names
-            .iter()
-            .zip(self.truth.iter())
-            .map(|(name, label)| match label {
-                Some(l) => b.add_fact_with_truth(&**name, *l),
-                None => b.add_fact(&**name),
-            })
-            .collect();
-        for (f, sig) in self.signatures.iter().enumerate() {
-            for &(s, vote) in sig.iter() {
-                b.cast(SourceId::new(s), fact_ids[f], vote)?;
-            }
-        }
-        Ok(b.build()?)
-    }
-
-    /// The current signature of `fact`, sorted by source id.
-    pub fn signature(&self, fact: FactId) -> &[(usize, Vote)] {
-        &self.signatures[fact.index()]
+        let facts = self
+            .facts
+            .chunks()
+            .flat_map(|chunk| chunk.names.iter().zip(chunk.labels.iter().copied()));
+        Ok(Dataset::from_fact_rows(self.source_names(), facts, fact_ends, by_fact)?)
     }
 
     /// Converts a batch [`Dataset`] into the mutation stream that rebuilds
@@ -417,6 +497,18 @@ impl DeltaDataset {
     }
 }
 
+/// Name of source `id` in `sources`.
+fn source_name(sources: &CowChunks<Arena>, id: usize) -> &str {
+    let (chunk, i) = sources.get(id);
+    chunk.get(i)
+}
+
+/// Name of fact `id` in `facts`.
+fn fact_name(facts: &CowChunks<FactChunk>, id: usize) -> &str {
+    let (chunk, i) = facts.get(id);
+    chunk.names.get(i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +525,8 @@ mod tests {
         d.apply(&cast("s0", "f1", Vote::False)).unwrap();
         // Signature sorted by source id (registration order), not name.
         let f = d.fact_id("f1").unwrap();
-        assert_eq!(d.signature(f), &[(0, Vote::True), (1, Vote::False)]);
+        let sv = |s: usize, vote: Vote| SourceVote { source: SourceId::new(s), vote };
+        assert_eq!(d.votes(f), &[sv(0, Vote::True), sv(1, Vote::False)]);
         assert_eq!(d.n_votes(), 2);
     }
 

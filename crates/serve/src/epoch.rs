@@ -152,7 +152,7 @@ impl VerdictView {
     }
 
     /// The stream state the verdicts were computed over: names, labels
-    /// and every fact's current votes ([`DeltaDataset::signature`]).
+    /// and every fact's current votes ([`DeltaDataset::votes`]).
     pub fn delta(&self) -> &DeltaDataset {
         &self.delta
     }
@@ -416,19 +416,14 @@ impl EpochEngine {
             // match the undeduplicated per-fact loop.
             facts_rescored = dirty.len();
             let prior = self.config.engine.voteless_prior;
-            let mut seen: BTreeMap<&[(usize, Vote)], usize> = BTreeMap::new();
+            let mut seen: BTreeMap<&[SourceVote], usize> = BTreeMap::new();
             let mut sig_score: Vec<f64> = Vec::new();
-            let mut signature: Vec<SourceVote> = Vec::new();
             for &f in &dirty {
-                let raw = self.delta.signature(f);
+                let votes = self.delta.votes(f);
                 let next = sig_score.len();
-                let k = *seen.entry(raw).or_insert(next);
+                let k = *seen.entry(votes).or_insert(next);
                 if k == next {
-                    signature.clear();
-                    signature.extend(
-                        raw.iter().map(|&(s, vote)| SourceVote { source: SourceId::new(s), vote }),
-                    );
-                    sig_score.push(corrob_probability_or(&signature, &self.trust, prior));
+                    sig_score.push(corrob_probability_or(votes, &self.trust, prior));
                 }
                 *self.probs.get_mut(f.index()) = sig_score[k];
                 if !self.stale[f.index()] {

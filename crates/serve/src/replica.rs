@@ -51,14 +51,14 @@ use std::time::Duration;
 use corroborate_obs::{Counter, Json, Observer, Span};
 
 use crate::cluster::ReplicaStatus;
-use crate::delta::DeltaDataset;
+use crate::delta::{DeltaDataset, Mutation};
 use crate::epoch::{EpochConfig, EpochEngine, EpochMode, Published, VerdictView};
 use crate::error::ServeError;
 use crate::http::{read_response, write_request, Request};
 use crate::metrics::ServeMetrics;
 use crate::shell::{read_routes, Reply, Routes, Shell, ShellConfig, Shutdown};
 use crate::ship::{ShipSegment, TAIL_WAIT_CAP};
-use crate::wal::{replace_with_snapshot, scan_frames, Wal, WalConfig};
+use crate::wal::{replace_with_snapshot, scan_frames, ShippedBatch, Wal, WalConfig};
 use crate::walfs::{FaultFs, StdFs, WalFs};
 
 /// Least time between two heartbeats to the primary (125 ms), busy or
@@ -208,11 +208,16 @@ impl ReplicaCore {
     /// Batches at or below [`Self::applied_seq`] are skipped (segment
     /// fetches overlap the already-applied prefix); the first new batch
     /// must start exactly at `applied_seq + 1` — a gap means this stream
-    /// belongs to a different history and the caller must resync.
+    /// belongs to a different history and the caller must resync. The new
+    /// batches before any gap are journalled first, all at once (one
+    /// write and one fsync per local segment they land in, each batch
+    /// still its own frame), and only then applied.
     ///
     /// # Errors
-    /// [`ServeError::WalCorrupt`] on a sequence gap; I/O or journal
-    /// failures from the local WAL.
+    /// [`ServeError::WalCorrupt`] on a sequence gap (after applying the
+    /// batches before it), or when the local journal does not resume at
+    /// `applied_seq + 1` (an earlier append failed part-way; nothing is
+    /// written); I/O or journal failures from the local WAL.
     pub fn apply_shipped<O: Observer>(
         &mut self,
         bytes: &[u8],
@@ -220,41 +225,56 @@ impl ReplicaCore {
     ) -> Result<ShipApplied, ServeError> {
         let scan = scan_frames(bytes);
         let mut applied = ShipApplied { torn: scan.torn, ..ShipApplied::default() };
+        let mut fresh: Vec<&ShippedBatch> = Vec::new();
+        let mut gap = None;
+        let mut expected = self.applied_seq.saturating_add(1);
         for batch in &scan.batches {
-            let last = batch.last_seq();
-            if last <= self.applied_seq {
+            if batch.last_seq() < expected {
                 applied.skipped = applied.skipped.saturating_add(1);
                 continue;
             }
-            let expected = self.applied_seq.saturating_add(1);
             if batch.first_seq != expected {
-                return Err(ServeError::WalCorrupt {
+                gap = Some(ServeError::WalCorrupt {
                     message: format!(
                         "shipped stream gap: batch starts at seq {} but the replica \
                          expects {expected}",
                         batch.first_seq
                     ),
                 });
+                break;
             }
-            // Journal first (write-ahead), then apply. The receipt must
-            // land on the shipped boundary: the replica's own recovery
-            // then reproduces the primary's batch partitioning.
-            let receipt = self.wal.append_batch_observed(&batch.mutations, obs)?;
-            if receipt.first_seq != batch.first_seq {
+            fresh.push(batch);
+            expected = batch.last_seq().saturating_add(1);
+        }
+
+        // Journal first (write-ahead), then apply. The journal must resume
+        // where the engine stands: the fresh batches run on from there
+        // without a gap, so each lands on its shipped boundary and the
+        // replica's own recovery reproduces the primary's batch
+        // partitioning. A journal ahead of the engine (a group whose append
+        // failed after some of its frames were written) refuses the stream
+        // before writing anything, and the caller resyncs.
+        if let Some(first) = fresh.first() {
+            if self.wal.next_seq() != first.first_seq {
                 return Err(ServeError::WalCorrupt {
                     message: format!(
-                        "replica journal desync: local batch took seq {} but the shipped \
-                         batch starts at {}",
-                        receipt.first_seq, batch.first_seq
+                        "replica journal desync: the local journal resumes at seq {} but \
+                         the shipped stream at {}",
+                        self.wal.next_seq(),
+                        first.first_seq
                     ),
                 });
             }
+        }
+        let mutations: Vec<&[Mutation]> = fresh.iter().map(|b| b.mutations.as_slice()).collect();
+        self.wal.append_batches_observed(&mutations, obs)?;
+        for batch in fresh {
             for mutation in &batch.mutations {
                 // Mirrors the primary's drain loop: a mutation that slips
                 // validation is dropped, not fatal.
                 let _ = self.engine.apply(mutation);
             }
-            self.applied_seq = last;
+            self.applied_seq = batch.last_seq();
             applied.batches = applied.batches.saturating_add(1);
             applied.mutations = applied.mutations.saturating_add(batch.mutations.len() as u64);
             if self.engine.pending() > 0 {
@@ -263,7 +283,10 @@ impl ReplicaCore {
                 applied.view = Some(view);
             }
         }
-        Ok(applied)
+        match gap {
+            Some(gap) => Err(gap),
+            None => Ok(applied),
+        }
     }
 
     /// Runs one epoch explicitly (the drain path uses `Full`, mirroring
@@ -966,6 +989,121 @@ mod tests {
         let (want, _) = reference.run_epoch(EpochMode::Auto).unwrap();
         let got = applied.view.expect("an epoch should have published");
         assert_eq!(got.fingerprint(), want.fingerprint());
+    }
+
+    #[test]
+    fn a_caught_up_stream_is_journalled_with_one_fsync() {
+        let muts = seed_mutations(45);
+        let batches: Vec<Vec<Mutation>> = muts.chunks(3).map(|c| c.to_vec()).collect();
+        let (_wal, ship, primary_fs) = primary_with_ship(&batches);
+        let fs = Arc::new(FaultFs::new());
+        let dir = Path::new("/r");
+        let (mut core, _) = ReplicaCore::recover(
+            dir,
+            Arc::<FaultFs>::clone(&fs) as Arc<dyn WalFs>,
+            WalConfig { fsync: true, ..WalConfig::default() },
+            EpochConfig::default(),
+            &NOOP,
+        )
+        .unwrap();
+        let segment = crate::wal::seg_path(dir, 1);
+        let synced_before = fs.syncs(&segment);
+
+        let applied = core.apply_shipped(&tail_bytes(&ship, 1), &NOOP).unwrap();
+        assert_eq!(applied.batches, batches.len() as u64);
+        assert_eq!(fs.syncs(&segment) - synced_before, 1, "one fsync for the whole stream");
+        // Each batch is still its own frame: the journal holds the
+        // primary's bytes.
+        let primary_segment = crate::wal::seg_path(Path::new("/primary"), 1);
+        assert_eq!(fs.dump(&segment), primary_fs.dump(&primary_segment));
+        // And each batch still gets its own scheduling decision.
+        let mut reference = EpochEngine::new(EpochConfig::default()).unwrap();
+        let mut epochs = 0;
+        for batch in &batches {
+            for m in batch {
+                reference.apply(m).unwrap();
+            }
+            if reference.pending() > 0 {
+                reference.run_epoch(EpochMode::Auto).unwrap();
+                epochs += 1;
+            }
+        }
+        assert_eq!(applied.epochs, epochs);
+        let (want, _) = reference.run_epoch(EpochMode::Full).unwrap();
+        let got = core.publish_epoch(EpochMode::Full).unwrap();
+        assert_eq!(got.fingerprint(), want.fingerprint());
+    }
+
+    #[test]
+    fn a_stream_whose_append_failed_in_its_second_segment_is_refused_unwritten() {
+        let muts = seed_mutations(45);
+        let total = muts.len() as u64;
+        let batches: Vec<Vec<Mutation>> = muts.chunks(3).map(|c| c.to_vec()).collect();
+        let (_wal, ship, primary_fs) = primary_with_ship(&batches);
+        let stream = tail_bytes(&ship, 1);
+        let shipped = primary_fs.len(&crate::wal::seg_path(Path::new("/primary"), 1)).unwrap();
+        let dir = Path::new("/r");
+        let config = WalConfig {
+            fsync: true,
+            segment_bytes: 2 * shipped as u64 / 3,
+            ..WalConfig::default()
+        };
+        let boot = |fs: &Arc<FaultFs>| {
+            let fs = Arc::<FaultFs>::clone(fs) as Arc<dyn WalFs>;
+            ReplicaCore::recover(dir, fs, config, EpochConfig::default(), &NOOP).unwrap().0
+        };
+        let (seg1, seg2) = (crate::wal::seg_path(dir, 1), crate::wal::seg_path(dir, 2));
+        let manifest = dir.join(crate::wal::MANIFEST_FILE);
+
+        // A clean run: the stream fills segment 1, seals it and ends in
+        // segment 2.
+        let clean = Arc::new(FaultFs::new());
+        let mut core = boot(&clean);
+        core.apply_shipped(&stream, &NOOP).unwrap();
+        assert!(clean.len(&seg2).is_some() && clean.len(&crate::wal::seg_path(dir, 3)).is_none());
+        let sealed_bytes = (clean.len(&seg1).unwrap() + clean.len(&manifest).unwrap()) as u64;
+        let mut reference = EpochEngine::new(EpochConfig::default()).unwrap();
+        for m in &muts {
+            reference.apply(m).unwrap();
+        }
+        let (want, _) = reference.run_epoch(EpochMode::Full).unwrap();
+
+        // The write to segment 2 tears, or its fsync (the group's third:
+        // segment 1's, the manifest's at the seal, then segment 2's) fails
+        // with the frames left in place.
+        for torn in [true, false] {
+            let fs = Arc::new(FaultFs::new());
+            let mut core = boot(&fs);
+            if torn {
+                fs.set_crash_after_write_bytes(sealed_bytes + 5);
+            } else {
+                fs.fail_fsync(3, false);
+            }
+            assert!(core.apply_shipped(&stream, &NOOP).is_err());
+            assert_eq!(core.applied_seq(), 0, "nothing reached the engine");
+            fs.reset_faults();
+
+            // The journal is now ahead of the engine. The retry is refused
+            // before it writes: journalling the batches again would number
+            // them past the primary's.
+            let journalled = (fs.dump(&seg1), fs.dump(&seg2));
+            let retry = core.apply_shipped(&stream, &NOOP);
+            assert!(matches!(retry, Err(ServeError::WalCorrupt { .. })), "torn {torn}: {retry:?}");
+            assert_eq!((fs.dump(&seg1), fs.dump(&seg2)), journalled, "torn {torn}: a write");
+
+            // A restart recovers batches under the primary's numbers only,
+            // and tails on from there to the primary's state.
+            drop(core);
+            let mut core = boot(&fs);
+            let resumed = core.applied_seq();
+            assert!(resumed > 0 && resumed <= total, "torn {torn}: resumed at {resumed}");
+            if resumed < total {
+                core.apply_shipped(&tail_bytes(&ship, resumed + 1), &NOOP).unwrap();
+            }
+            assert_eq!(core.applied_seq(), total);
+            let got = core.publish_epoch(EpochMode::Full).unwrap();
+            assert_eq!(got.fingerprint(), want.fingerprint(), "torn {torn}");
+        }
     }
 
     #[test]

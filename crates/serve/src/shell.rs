@@ -36,7 +36,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use corroborate_core::ids::SourceId;
 use corroborate_core::truth::Label;
 use corroborate_obs::{Counter, Json, Observer, RecordingObserver, Span};
 
@@ -365,14 +364,13 @@ fn fact_reply(view: &VerdictView, name: &str) -> Reply {
     obj.insert("stale", view.is_stale(fact));
     let delta = view.delta();
     let votes: Vec<Json> = delta
-        .signature(fact)
+        .votes(fact)
         .iter()
-        .map(|&(source, vote)| {
-            let source = SourceId::new(source);
+        .map(|sv| {
             let mut v = Json::object();
-            v.insert("source", delta.source_name(source));
-            v.insert("vote", vote.symbol().to_string());
-            v.insert("trust", view.trust().trust(source));
+            v.insert("source", delta.source_name(sv.source));
+            v.insert("vote", sv.vote.symbol().to_string());
+            v.insert("trust", view.trust().trust(sv.source));
             v
         })
         .collect();

@@ -80,9 +80,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use corroborate_core::ids::FactId;
+use corroborate_core::ids::{FactId, SourceId};
 use corroborate_core::truth::Label;
-use corroborate_core::vote::Vote;
+use corroborate_core::vote::{SourceVote, Vote};
 use corroborate_obs::{Json, Observer, Span, NOOP};
 
 use crate::delta::{DeltaDataset, Mutation};
@@ -113,7 +113,7 @@ impl Default for WalConfig {
 
 const SNAPSHOT_FILE: &str = "snapshot.cwb";
 const SNAPSHOT_TMP: &str = "snapshot.cwb.tmp";
-const MANIFEST_FILE: &str = "wal.manifest.json";
+pub(crate) const MANIFEST_FILE: &str = "wal.manifest.json";
 const MANIFEST_TMP: &str = "wal.manifest.json.tmp";
 
 /// Batch frame magic: "Corroborate Wal Batch v1".
@@ -292,15 +292,15 @@ fn decode_mutation(cur: &mut Cursor<'_>) -> Result<Mutation, String> {
     }
 }
 
-/// Writes one frame for `first_seq` into `buf` (cleared first):
-/// `payload` appends the records and returns how many it wrote, and the
-/// count, payload length and CRC are patched in after it.
+/// Appends one frame for `first_seq` to `buf`: `payload` appends the
+/// records and returns how many it wrote, and the count, payload length
+/// and CRC are patched in after it.
 fn write_frame(
     buf: &mut Vec<u8>,
     first_seq: u64,
     payload: impl FnOnce(&mut Vec<u8>) -> Result<usize, ServeError>,
 ) -> Result<(), ServeError> {
-    buf.clear();
+    let start = buf.len();
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&[0u8; 4]); // count, patched below
     buf.extend_from_slice(&first_seq.to_le_bytes());
@@ -308,17 +308,19 @@ fn write_frame(
     let count = u32::try_from(payload(buf)?).map_err(|_| ServeError::InvalidMutation {
         message: "frame exceeds u32::MAX records".into(),
     })?;
-    let payload_len = buf.len().checked_sub(HEADER_LEN).and_then(|n| u32::try_from(n).ok()).ok_or(
-        ServeError::InvalidMutation { message: "frame payload exceeds u32::MAX bytes".into() },
-    )?;
-    buf[OFF_COUNT..OFF_SEQ].copy_from_slice(&count.to_le_bytes());
-    buf[OFF_LEN..OFF_CRC].copy_from_slice(&payload_len.to_le_bytes());
-    let crc = batch_crc(count, first_seq, payload_len, &buf[HEADER_LEN..]);
-    buf[OFF_CRC..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    let frame = &mut buf[start..];
+    let payload_len =
+        frame.len().checked_sub(HEADER_LEN).and_then(|n| u32::try_from(n).ok()).ok_or(
+            ServeError::InvalidMutation { message: "frame payload exceeds u32::MAX bytes".into() },
+        )?;
+    frame[OFF_COUNT..OFF_SEQ].copy_from_slice(&count.to_le_bytes());
+    frame[OFF_LEN..OFF_CRC].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = batch_crc(count, first_seq, payload_len, &frame[HEADER_LEN..]);
+    frame[OFF_CRC..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     Ok(())
 }
 
-/// Encodes `batch` as one framed record into `buf` (cleared first).
+/// Appends `batch` to `buf` as one framed record.
 fn encode_batch(buf: &mut Vec<u8>, first_seq: u64, batch: &[Mutation]) -> Result<(), ServeError> {
     write_frame(buf, first_seq, |buf| {
         for m in batch {
@@ -515,6 +517,14 @@ pub struct BatchReceipt {
     pub fsync_nanos: Option<u64>,
     /// Whether this append rolled the log into a fresh segment.
     pub sealed: bool,
+}
+
+impl BatchReceipt {
+    /// Sequence number of the batch's last mutation (`first_seq - 1` for
+    /// an empty batch, saturating at 0).
+    fn last_seq(&self) -> u64 {
+        self.first_seq.saturating_add(self.count).saturating_sub(1)
+    }
 }
 
 /// Recovered state: the rebuilt dataset and the log position to resume at.
@@ -904,51 +914,108 @@ impl Wal {
         batch: &[Mutation],
         obs: &O,
     ) -> Result<BatchReceipt, ServeError> {
-        if batch.is_empty() {
-            return Ok(BatchReceipt {
-                first_seq: self.next_seq,
-                count: 0,
-                bytes: 0,
+        Ok(self.append_batches_observed(&[batch], obs)?[0])
+    }
+
+    /// Group commit of several batches, one frame each: the bytes, the
+    /// sequence numbers and the segment rolls are those of one
+    /// [`Self::append_batch`] per batch in order, but the frames that land
+    /// in one segment go out in one write and, when [`WalConfig::fsync`]
+    /// is set, one fsync, before any of them is shipped. Returns one
+    /// receipt per batch; each carries the latency of the fsync that made
+    /// its frame durable. Empty batches write nothing.
+    ///
+    /// # Errors
+    /// As [`Self::append_batch`]. The frames of segments sealed before the
+    /// failure stay written, synced and shipped.
+    pub fn append_batches_observed<O: Observer>(
+        &mut self,
+        batches: &[&[Mutation]],
+        obs: &O,
+    ) -> Result<Vec<BatchReceipt>, ServeError> {
+        let exhausted = || ServeError::WalCorrupt { message: "sequence counter exhausted".into() };
+        let mut receipts = Vec::with_capacity(batches.len());
+        // `buf` holds the frames not yet written, whose receipts start at
+        // `unwritten`.
+        self.buf.clear();
+        let mut unwritten = 0;
+        let mut first_seq = self.next_seq;
+        for batch in batches {
+            if batch.is_empty() {
+                receipts.push(BatchReceipt {
+                    first_seq,
+                    count: 0,
+                    bytes: 0,
+                    fsync_nanos: None,
+                    sealed: false,
+                });
+                continue;
+            }
+            let start = self.buf.len();
+            encode_batch(&mut self.buf, first_seq, batch)?;
+            let frame_len = self.buf.len().saturating_sub(start) as u64;
+            let before = self.active_bytes.saturating_add(start as u64);
+            let sealed = before > 0 && before.saturating_add(frame_len) > self.config.segment_bytes;
+            if sealed {
+                // Land the frames before this one, then roll where one
+                // append per batch would.
+                self.write_frames(start, &mut receipts[unwritten..], obs)?;
+                self.seal_observed(obs)?;
+                unwritten = receipts.len();
+            }
+            let count = batch.len() as u64;
+            let last = first_seq.checked_add(count.saturating_sub(1)).ok_or_else(exhausted)?;
+            receipts.push(BatchReceipt {
+                first_seq,
+                count,
+                bytes: frame_len,
                 fsync_nanos: None,
-                sealed: false,
+                sealed,
             });
+            first_seq = last.checked_add(1).ok_or_else(exhausted)?;
         }
-        let first_seq = self.next_seq;
-        encode_batch(&mut self.buf, first_seq, batch)?;
-        let frame_len = self.buf.len() as u64;
+        self.write_frames(self.buf.len(), &mut receipts[unwritten..], obs)?;
+        Ok(receipts)
+    }
 
-        let mut sealed = false;
-        if self.active_bytes > 0
-            && self.active_bytes.saturating_add(frame_len) > self.config.segment_bytes
-        {
-            self.seal_observed(obs)?;
-            sealed = true;
-        }
-
+    /// Writes the first `len` bytes of `buf`, the frames of `receipts`'
+    /// non-empty batches, in one write to the active segment; fsyncs them
+    /// once when configured, recording the latency in each receipt; ships
+    /// them; and drops them from `buf`.
+    fn write_frames<O: Observer>(
+        &mut self,
+        len: usize,
+        receipts: &mut [BatchReceipt],
+        obs: &O,
+    ) -> Result<(), ServeError> {
+        let Some(first) = receipts.iter().find(|r| r.count > 0).map(|r| r.first_seq) else {
+            return Ok(());
+        };
         self.active_unsynced = true;
-        obs.traced(Span::WalAppend, first_seq, || self.active.write_all(&self.buf))?;
-
-        self.active_bytes = self.active_bytes.saturating_add(frame_len);
-        if self.active_first_seq.is_none() {
-            self.active_first_seq = Some(first_seq);
+        obs.traced(Span::WalAppend, first, || self.active.write_all(&self.buf[..len]))?;
+        self.active_bytes = self.active_bytes.saturating_add(len as u64);
+        for r in receipts.iter().filter(|r| r.count > 0) {
+            self.active_first_seq.get_or_insert(r.first_seq);
+            self.active_last_seq = r.last_seq();
+            self.next_seq = r.last_seq().saturating_add(1);
+            self.records_since_snapshot = self.records_since_snapshot.saturating_add(r.count);
         }
-        let count = batch.len() as u64;
-        let last =
-            first_seq.checked_add(count).and_then(|v| v.checked_sub(1)).ok_or_else(|| {
-                ServeError::WalCorrupt { message: "sequence counter exhausted".into() }
-            })?;
-        self.active_last_seq = last;
-        self.next_seq = last.checked_add(1).ok_or_else(|| ServeError::WalCorrupt {
-            message: "sequence counter exhausted".into(),
-        })?;
-        self.records_since_snapshot = self.records_since_snapshot.saturating_add(count);
-
-        let fsync_nanos =
-            if self.config.fsync { Some(self.sync_active(obs, first_seq)?) } else { None };
+        if self.config.fsync {
+            let nanos = self.sync_active(obs, first)?;
+            for r in receipts.iter_mut().filter(|r| r.count > 0) {
+                r.fsync_nanos = Some(nanos);
+            }
+        }
         if let Some(ship) = &self.shipper {
-            ship.frame_durable(first_seq, last, &self.buf);
+            let mut at = 0usize;
+            for r in receipts.iter().filter(|r| r.count > 0) {
+                let end = at.saturating_add(r.bytes as usize);
+                ship.frame_durable(r.first_seq, r.last_seq(), &self.buf[at..end]);
+                at = end;
+            }
         }
-        Ok(BatchReceipt { first_seq, count, bytes: frame_len, fsync_nanos, sealed })
+        self.buf.drain(..len);
+        Ok(())
     }
 
     /// Fsyncs the active segment under a [`Span::WalFsync`] span with
@@ -1226,11 +1293,11 @@ fn encode_snapshot(dataset: &DeltaDataset, seq: u64) -> Result<Vec<u8>, ServeErr
         }
         let mut casts = 0usize;
         for (name, _, votes) in dataset.facts() {
-            for &(s, vote) in votes {
+            for sv in votes {
                 buf.push(OP_CAST);
-                put_str(buf, sources[s])?;
+                put_str(buf, sources[sv.source.index()])?;
                 put_str(buf, name)?;
-                put_vote(buf, vote);
+                put_vote(buf, sv.vote);
             }
             casts = casts.saturating_add(votes.len());
         }
@@ -1269,18 +1336,18 @@ fn record_kind(op: u8) -> &'static str {
 }
 
 /// Builds the state a snapshot frame holds. Each name is registered by
-/// one insert, which also detects a repeat; each fact's votes are
-/// collected and land as one signature. Anything out of the canonical
-/// order is refused: a source after a fact or vote, a fact after a vote,
-/// votes not grouped by ascending fact id, or sources not strictly
-/// ascending inside a fact.
+/// one insert, which also detects a repeat; each vote is appended to its
+/// fact's row in the fact's chunk as it is read, its fact found by name
+/// comparison when it is the last voted fact or the one after it.
+/// Anything out of the canonical order is refused: a source after a fact
+/// or vote, a fact after a vote, votes not grouped by ascending fact id,
+/// or sources not strictly ascending inside a fact.
 fn decode_state(frame: &Frame<'_>) -> Result<DeltaDataset, String> {
     let mut state = DeltaDataset::new();
     let mut cur = Cursor::new(frame.payload);
     let mut last_op = OP_SOURCE;
-    // The fact whose votes are being collected, its name, and the votes.
-    let mut voted: Option<(FactId, &str)> = None;
-    let mut votes: Vec<(usize, Vote)> = Vec::new();
+    // The last vote read: its fact, the fact's name, and its source.
+    let mut voted: Option<(FactId, &str, SourceId)> = None;
     for _ in 0..frame.count {
         let op = cur.take_u8().ok_or("truncated op byte")?;
         if op > OP_CAST {
@@ -1316,34 +1383,38 @@ fn decode_state(frame: &Frame<'_>) -> Result<DeltaDataset, String> {
                 let vote = cur.take_vote()?;
                 let s = state
                     .source_id(source)
-                    .ok_or_else(|| format!("a vote names unregistered source {source:?}"))?
-                    .index();
-                match voted {
-                    Some((_, name)) if name == fact => {
-                        if votes.last().is_some_and(|&(prev, _)| prev >= s) {
+                    .ok_or_else(|| format!("a vote names unregistered source {source:?}"))?;
+                let f = match voted {
+                    Some((f, name, prev)) if name == fact => {
+                        if prev >= s {
                             return Err(format!("votes on fact {fact:?} out of source order"));
                         }
+                        f
                     }
-                    _ => {
-                        let f = state
-                            .fact_id(fact)
-                            .ok_or_else(|| format!("a vote names unregistered fact {fact:?}"))?;
-                        if let Some((prev, _)) = voted {
-                            if prev >= f {
+                    // Votes come grouped by ascending fact, so the next
+                    // voted fact is nearly always the one after the last:
+                    // comparing its name spares a hash lookup.
+                    _ => match voted.map_or(0, |(prev, ..)| prev.index().saturating_add(1)) {
+                        next if next < state.n_facts()
+                            && state.fact_name(FactId::new(next)) == fact =>
+                        {
+                            FactId::new(next)
+                        }
+                        _ => {
+                            let f = state.fact_id(fact).ok_or_else(|| {
+                                format!("a vote names unregistered fact {fact:?}")
+                            })?;
+                            if voted.is_some_and(|(prev, ..)| prev >= f) {
                                 return Err(format!("votes on fact {fact:?} out of fact order"));
                             }
-                            state.set_votes(prev, Arc::from(votes.as_slice()));
-                            votes.clear();
+                            f
                         }
-                        voted = Some((f, fact));
-                    }
-                }
-                votes.push((s, vote));
+                    },
+                };
+                state.push_votes(f, &[SourceVote { source: s, vote }]);
+                voted = Some((f, fact, s));
             }
         }
-    }
-    if let Some((f, _)) = voted {
-        state.set_votes(f, Arc::from(votes.as_slice()));
     }
     cur.finish()?;
     Ok(state)
@@ -1946,7 +2017,7 @@ mod tests {
             assert_eq!(got.fact_name(f), want.fact_name(f));
             assert_eq!(got.fact_id(want.fact_name(f)), Some(f));
             assert_eq!(got.label(f), want.label(f));
-            assert_eq!(got.signature(f), want.signature(f));
+            assert_eq!(got.votes(f), want.votes(f));
         }
         assert_eq!(got.dirty_count(), 0);
         let (got, want) = (got.materialize().unwrap(), want.materialize().unwrap());
@@ -2258,6 +2329,57 @@ mod tests {
         fs.reset_faults();
         let (_, rec) = Wal::open_with(&dir, config, Arc::new(fs), &NOOP).unwrap();
         assert_eq!(rec.replayed, 1);
+    }
+
+    #[test]
+    fn grouped_appends_write_the_bytes_and_seals_of_one_append_per_batch() {
+        let mut batches: Vec<Vec<Mutation>> = (0..10)
+            .map(|i| {
+                (0..=i % 3).map(|j| cast(&format!("s{j}"), &format!("f{i}"), Vote::True)).collect()
+            })
+            .collect();
+        batches.insert(4, Vec::new());
+        let mut buf = Vec::new();
+        encode_batch(&mut buf, 1, &batches[2]).unwrap();
+        let config =
+            WalConfig { fsync: true, segment_bytes: 3 * buf.len() as u64, ..WalConfig::default() };
+        let dir = PathBuf::from("/wal");
+        let (singles_fs, grouped_fs) = (FaultFs::new(), FaultFs::new());
+        let (mut singles, _) =
+            Wal::open_with(&dir, config, Arc::new(singles_fs.clone()), &NOOP).unwrap();
+        let (mut grouped, _) =
+            Wal::open_with(&dir, config, Arc::new(grouped_fs.clone()), &NOOP).unwrap();
+
+        let one_by_one: Vec<BatchReceipt> =
+            batches.iter().map(|b| singles.append_batch(b).unwrap()).collect();
+        let refs: Vec<&[Mutation]> = batches.iter().map(Vec::as_slice).collect();
+        let at_once = grouped.append_batches_observed(&refs, &NOOP).unwrap();
+
+        let shape = |r: &BatchReceipt| (r.first_seq, r.count, r.bytes, r.sealed);
+        assert!(one_by_one.iter().map(shape).eq(at_once.iter().map(shape)));
+        assert!(at_once.iter().all(|r| r.fsync_nanos.is_some() == (r.count > 0)));
+        let segments = singles.segment_count();
+        assert!(segments >= 3, "the batches span several segments");
+        assert_eq!(grouped.segment_count(), segments);
+        assert_eq!(grouped.next_seq(), singles.next_seq());
+        let manifest = dir.join(MANIFEST_FILE);
+        assert_eq!(grouped_fs.dump(&manifest), singles_fs.dump(&manifest));
+        for id in 1..=segments as u64 {
+            let path = seg_path(&dir, id);
+            assert_eq!(grouped_fs.dump(&path), singles_fs.dump(&path), "segment {id}");
+            let frames = Frames::new(&singles_fs.dump(&path).unwrap()).count() as u64;
+            assert_eq!(singles_fs.syncs(&path), frames, "one sync per append");
+            assert_eq!(grouped_fs.syncs(&path), u64::from(frames > 0), "one sync per segment");
+        }
+        // Both logs replay to the same state.
+        drop((singles, grouped));
+        let (_, a) = Wal::open_with(&dir, config, Arc::new(singles_fs), &NOOP).unwrap();
+        let (_, b) = Wal::open_with(&dir, config, Arc::new(grouped_fs), &NOOP).unwrap();
+        assert_eq!((a.replayed, a.next_seq), (b.replayed, b.next_seq));
+        assert_eq!(
+            b.dataset.materialize().unwrap().votes(),
+            a.dataset.materialize().unwrap().votes()
+        );
     }
 
     #[test]

@@ -216,11 +216,11 @@ fn reference_snapshot(state: &DeltaDataset, seq: u64) -> Vec<u8> {
         });
     }
     for f in (0..state.n_facts()).map(FactId::new) {
-        for &(s, vote) in state.signature(f) {
+        for sv in state.votes(f) {
             mutations.push(Mutation::Cast {
-                source: state.source_name(SourceId::new(s)).to_string(),
+                source: state.source_name(sv.source).to_string(),
                 fact: state.fact_name(f).to_string(),
-                vote,
+                vote: sv.vote,
             });
         }
     }
@@ -281,7 +281,7 @@ fn assert_same_state(got: &DeltaDataset, want: &DeltaDataset) {
         assert_eq!(got.fact_name(f), want.fact_name(f));
         assert_eq!(got.fact_id(want.fact_name(f)), Some(f));
         assert_eq!(got.label(f), want.label(f));
-        assert_eq!(got.signature(f), want.signature(f));
+        assert_eq!(got.votes(f), want.votes(f));
     }
     assert_eq!(got.dirty_count(), 0, "a recovered state has nothing dirty");
     let (got, want) = (got.materialize().unwrap(), want.materialize().unwrap());
@@ -383,9 +383,9 @@ fn state_digest(state: &DeltaDataset) -> u64 {
     for f in (0..state.n_facts()).map(FactId::new) {
         eat(state.fact_name(f).as_bytes());
         eat(&[0xff, state.label(f).map_or(0, |l| if l.as_bool() { 1 } else { 2 })]);
-        for &(s, vote) in state.signature(f) {
-            eat(&(s as u64).to_le_bytes());
-            eat(&[u8::from(vote == Vote::True)]);
+        for sv in state.votes(f) {
+            eat(&(sv.source.index() as u64).to_le_bytes());
+            eat(&[u8::from(sv.vote == Vote::True)]);
         }
         eat(&[0xfe]);
     }
